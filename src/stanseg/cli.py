@@ -14,7 +14,7 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
 from pathlib import Path
 
 from .autodiff import Tensor, no_grad
@@ -29,113 +29,84 @@ from .data_io import (
     synth_generate,
 )
 from .metrics import binarize, evaluate, report_to_csv, report_to_json
-from .model import ModelConfig, build_model, load_weights, save_weights
-from .training import TrainConfig, cross_validate, history_to_json, train
+from .model import (ARCHITECTURES, ModelConfig, build_model, load_weights,
+                    save_weights)
+from .training import TrainConfig, cross_validate, history_to_dict, train
 
 
 class ConfigError(ValueError):
     """Bad key, value, or syntax in a config file."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat union of model, training, synthesis, and evaluation settings."""
-
-    arch: str = "stan"
-    input_size: int = 256
-    base_filters: int = 32
-    seed: int = 0
-    epochs: int = 50
-    batch_size: int = 4
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    shift_fraction: float = 0.1
-    folds: int = 5
-    threshold: float = 0.5
-    small_axis: float = 120.0
-    count: int = 8
-    axis_range: tuple[float, float] = (8.0, 20.0)
-    axis_list: tuple[float, ...] | None = None
-    lesion_intensity: float = 0.25
-    background_intensity: float = 0.75
-    noise_sigma: float = 0.08
-    rotation_range: tuple[float, float] = (0.0, math.pi)
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold <= 1.0:
-            raise ConfigError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.small_axis <= 0:
-            raise ConfigError(f"small_axis must be positive, got {self.small_axis}")
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(input_size=self.input_size,
-                           base_filters=self.base_filters,
-                           arch=self.arch, seed=self.seed)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(batch_size=self.batch_size, epochs=self.epochs,
-                           learning_rate=self.learning_rate, beta1=self.beta1,
-                           beta2=self.beta2, eps=self.eps,
-                           shift_fraction=self.shift_fraction,
-                           seed=self.seed, folds=self.folds)
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(count=self.count, image_size=self.input_size,
-                           axis_range=self.axis_range, axis_list=self.axis_list,
-                           lesion_intensity=self.lesion_intensity,
-                           background_intensity=self.background_intensity,
-                           noise_sigma=self.noise_sigma,
-                           rotation_range=self.rotation_range, seed=self.seed)
+# The library configs own every setting's name, type and default; the
+# flat keys below are derived from them. A key declared by several
+# sections takes its type and default from the first.
+_SECTIONS = (ModelConfig, TrainConfig, SynthConfig)
+_FLAT_KEYS = {"image_size": "input_size"}  # section field -> flat key
+_EVAL_SETTINGS = {"threshold": (float, 0.5), "small_axis": (float, 120.0)}
 
 
-def _float_pair(text: str) -> tuple[float, float]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    if len(parts) != 2:
-        raise ValueError(f"expected two numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+def _run_fields() -> dict:
+    """Flat key -> (type, default), sections first, then evaluation."""
+    fields = {}
+    for section in _SECTIONS:
+        hints = typing.get_type_hints(section)
+        for f in dataclasses.fields(section):
+            fields.setdefault(_FLAT_KEYS.get(f.name, f.name),
+                              (hints[f.name], f.default))
+    return {**fields, **_EVAL_SETTINGS}
+
+
+def _validate(run) -> None:
+    for f in dataclasses.fields(run):
+        value = getattr(run, f.name)
+        numbers = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+    if not 0.0 < run.threshold <= 1.0:
+        raise ConfigError(f"threshold must be in (0, 1], got {run.threshold}")
+    if run.small_axis <= 0:
+        raise ConfigError(f"small_axis must be positive, got {run.small_axis}")
+
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", [(key, tp, dataclasses.field(default=default))
+                  for key, (tp, default) in _run_fields().items()],
+    frozen=True, namespace={
+        "__module__": __name__, "__post_init__": _validate,
+        "__doc__": "Flat union of model, training, synthesis, and "
+                   "evaluation settings."})
+
+
+def project(run, section):
+    """The ``section`` config (ModelConfig, TrainConfig or SynthConfig)
+    holding ``run``'s values for its fields."""
+    return section(**{f.name: getattr(run, _FLAT_KEYS.get(f.name, f.name))
+                      for f in dataclasses.fields(section)})
 
 
 def _float_list(text: str) -> tuple[float, ...] | None:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    if not parts:
-        return None
-    return tuple(float(p) for p in parts)
+    """Comma- or space-separated numbers; None when there are none."""
+    return tuple(float(p) for p in text.replace(",", " ").split()) or None
+
+
+def _float_pair(text: str) -> tuple[float, float]:
+    numbers = _float_list(text) or ()
+    if len(numbers) != 2:
+        raise ValueError(f"expected two numbers, got {text!r}")
+    return numbers
 
 
 def _arch_name(text: str) -> str:
-    if text not in ("stan", "unet"):
-        raise ValueError(f"arch must be stan or unet, got {text!r}")
+    if text not in ARCHITECTURES:
+        raise ValueError(f"arch must be {' or '.join(ARCHITECTURES)}, got {text!r}")
     return text
 
 
-_KEY_PARSERS = {
-    "arch": _arch_name,
-    "input_size": int,
-    "base_filters": int,
-    "seed": int,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "eps": float,
-    "shift_fraction": float,
-    "folds": int,
-    "threshold": float,
-    "small_axis": float,
-    "count": int,
-    "axis_range": _float_pair,
-    "axis_list": _float_list,
-    "lesion_intensity": float,
-    "background_intensity": float,
-    "noise_sigma": float,
-    "rotation_range": _float_pair,
-}
+_TYPE_PARSERS = {int: int, float: float, tuple[float, float]: _float_pair,
+                 tuple[float, ...] | None: _float_list}
+_KEY_PARSERS = {f.name: _arch_name if f.name == "arch" else _TYPE_PARSERS[f.type]
+                for f in dataclasses.fields(RunConfig)}
 
 
 def parse_config_text(text: str, source: str = "config") -> dict:
@@ -200,27 +171,27 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_synth(run: RunConfig, args: argparse.Namespace) -> None:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    samples = synth_generate(run.synth_config())
+    samples = synth_generate(project(run, SynthConfig))
     for s in samples:
         save_image(s.image, out / f"{s.id}.pgm")
         save_mask(s.mask, out / f"{s.id}_mask.pgm")
     _write_json(out / "dataset.json", {
         "command": "synth",
         "samples": [s.id for s in samples],
-        "run_config": run.as_dict(),
+        "run_config": dataclasses.asdict(run),
     })
     print(f"wrote {len(samples)} image/mask pairs to {out}")
 
 
 def cmd_train(run: RunConfig, args: argparse.Namespace) -> None:
     samples = dataset_manifest(args.data_dir, target_size=run.input_size)
-    model = build_model(run.model_config())
-    model, history = train(model, samples, run.train_config())
+    model = build_model(project(run, ModelConfig))
+    model, history = train(model, samples, project(run, TrainConfig))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_weights(model, out / "weights.bin")
-    payload = json.loads(history_to_json(history))
-    payload.update({"command": "train", "run_config": run.as_dict()})
+    payload = history_to_dict(history)
+    payload.update({"command": "train", "run_config": dataclasses.asdict(run)})
     _write_json(out / "history.json", payload)
     last = history.epoch_losses[-1] if history.epoch_losses else float("nan")
     print(f"trained {run.arch} for {run.epochs} epochs on {len(samples)} "
@@ -242,7 +213,7 @@ def cmd_predict(run: RunConfig, args: argparse.Namespace) -> None:
     save_mask(mask, out_path)
     _write_json(out_path.with_suffix(out_path.suffix + ".json"), {
         "command": "predict",
-        "run_config": run.as_dict(),
+        "run_config": dataclasses.asdict(run),
         "weights": {"arch": model.config.arch, "input_size": size,
                     "base_filters": model.config.base_filters,
                     "seed": model.config.seed},
@@ -258,7 +229,7 @@ def cmd_eval(run: RunConfig, args: argparse.Namespace) -> None:
     report = evaluate(model, samples, threshold=run.threshold,
                       small_axis=run.small_axis,
                       provenance={"command": "eval",
-                                  "run_config": run.as_dict()})
+                                  "run_config": dataclasses.asdict(run)})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report_to_json(report) + "\n")
@@ -269,13 +240,13 @@ def cmd_eval(run: RunConfig, args: argparse.Namespace) -> None:
 def cmd_crossval(run: RunConfig, args: argparse.Namespace) -> None:
     samples = dataset_manifest(args.data_dir, target_size=run.input_size)
     fold_reports, overall, histories = cross_validate(
-        run.model_config(), samples, run.train_config(),
+        project(run, ModelConfig), samples, project(run, TrainConfig),
         threshold=run.threshold, small_axis=run.small_axis)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "crossval.json", {
         "command": "crossval",
-        "run_config": run.as_dict(),
+        "run_config": dataclasses.asdict(run),
         "overall": {"aggregates": overall.aggregates,
                     "excluded": overall.excluded,
                     "provenance": overall.provenance},
@@ -283,25 +254,25 @@ def cmd_crossval(run: RunConfig, args: argparse.Namespace) -> None:
                    "provenance": r.provenance,
                    "rows": [dataclasses.asdict(row) for row in r.rows]}
                   for r in fold_reports],
-        "histories": [json.loads(history_to_json(h)) for h in histories],
+        "histories": [history_to_dict(h) for h in histories],
     })
     print(format_table(overall.aggregates))
 
 
 # ------------------------------------------------------------------ parser
 
+_COMMON_FLAGS = (("--seed", "seed"), ("--arch", "arch"),
+                 ("--input-size", "input_size"), ("--base-filters", "base_filters"),
+                 ("--epochs", "epochs"), ("--batch-size", "batch_size"),
+                 ("--lr", "learning_rate"), ("--threshold", "threshold"),
+                 ("--small-axis", "small_axis"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value settings file")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--arch", type=_arch_name)
-    common.add_argument("--input-size", type=int)
-    common.add_argument("--base-filters", type=int)
-    common.add_argument("--epochs", type=int)
-    common.add_argument("--batch-size", type=int)
-    common.add_argument("--lr", type=float, dest="learning_rate")
-    common.add_argument("--threshold", type=float)
-    common.add_argument("--small-axis", type=float)
+    for flag, key in _COMMON_FLAGS:
+        common.add_argument(flag, type=_KEY_PARSERS[key], dest=key)
 
     parser = argparse.ArgumentParser(
         prog="stanseg",
@@ -312,8 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[common],
                        help="generate a synthetic phantom dataset")
     p.add_argument("out_dir")
-    p.add_argument("--count", type=int)
-    p.add_argument("--axis-list", type=_float_list,
+    p.add_argument("--count", type=_KEY_PARSERS["count"])
+    p.add_argument("--axis-list", type=_KEY_PARSERS["axis_list"],
                    help="comma-separated lesion axis lengths, cycled")
     p.set_defaults(func=cmd_synth)
 

@@ -245,6 +245,8 @@ class SynthConfig:
         lo, hi = self.axis_range
         if not 0 < lo <= hi:
             raise ValueError(f"bad axis_range {self.axis_range}")
+        if self.axis_list is not None and not all(a > 0 for a in self.axis_list):
+            raise ValueError(f"axis_list entries must be positive, got {self.axis_list}")
         largest = max(self.axis_list) / 2.0 if self.axis_list else hi
         if 2.0 * largest >= self.image_size:
             raise GeometryError(

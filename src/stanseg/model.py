@@ -269,45 +269,10 @@ class Model:
         return sigmoid(conv2d(x, p["head_conv1"]))
 
 
-def _check_wiring(specs, config: ModelConfig) -> None:
-    """Assert the channel plan is self-consistent at build time.
-
-    Each decoder fusion must see matching widths and each consumer's
-    in_channels must equal the sum its concatenation feeds it. Spatial
-    consistency holds by construction: skips are taken pre-pool and
-    every deconv exactly doubles, so all operands of a block-k fusion
-    live at resolution input_size / 2**(k-1), an integer because
-    input_size is a multiple of 16.
-    """
-    cout = {name: c for name, c, _, _ in specs}
-    cin = {name: c for name, _, c, _ in specs}
-    if config.arch == "stan":
-        for k in range(1, 5):
-            sa = cout[f"enc{k}_b1_conv3a"]
-            sb = cout[f"enc{k}_b2_conv1_3"] + cout[f"enc{k}_b2_conv5_3"]
-            if sa != sb:
-                raise ShapeMismatchError(
-                    f"encoder block {k}: branch widths differ ({sa} vs {sb})")
-            if cin[f"dec{k}_conv3a"] != cout[f"dec{k}_up"] + sa:
-                raise ShapeMismatchError(f"dec{k}_conv3a channel plan mismatch")
-            if cin[f"dec{k}_conv3b"] != cout[f"dec{k}_conv3a"] + cout[f"dec{k}_skip_conv5"]:
-                raise ShapeMismatchError(f"dec{k}_conv3b channel plan mismatch")
-        if cin["head_conv1"] != cout["dec1_conv3b"] + cout["enc1_b2_conv1_3"] + \
-                cout["enc1_b2_conv5_3"]:
-            raise ShapeMismatchError("head channel plan mismatch")
-    else:
-        for k in range(1, 5):
-            if cin[f"dec{k}_conv3a"] != cout[f"dec{k}_up"] + cout[f"enc{k}_conv3b"]:
-                raise ShapeMismatchError(f"dec{k}_conv3a channel plan mismatch")
-        if cin["head_conv1"] != cout["dec1_conv3b"]:
-            raise ShapeMismatchError("head channel plan mismatch")
-
-
 def build_model(config: ModelConfig) -> Model:
     """Instantiate the network named by ``config.arch`` with seeded
     parameters."""
     specs = _layer_specs(config)
-    _check_wiring(specs, config)
     params = _init_params(specs, config.seed)
     return Model(config=config, params=params, wiring=tuple(specs))
 

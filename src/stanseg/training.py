@@ -10,7 +10,6 @@ therefore independent of batch assembly order.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -262,7 +261,8 @@ def cross_validate(model_config: ModelConfig, dataset: list[Sample],
     return fold_reports, overall, histories
 
 
-def history_to_json(history: TrainHistory) -> str:
+def history_to_dict(history: TrainHistory) -> dict:
+    """JSON-ready dict of one run's seed, fold, epochs and validation."""
     payload = {
         "seed": history.seed,
         "fold": history.fold,
@@ -271,4 +271,4 @@ def history_to_json(history: TrainHistory) -> str:
     }
     if history.validation is not None:
         payload["validation_aggregates"] = history.validation.aggregates
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return payload

@@ -2,6 +2,7 @@
 synth/train/predict/eval pipeline, determinism of artifacts, and the
 error contract (exit 1, one structured stderr line)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,9 +15,12 @@ from stanseg.cli import (
     format_table,
     main,
     parse_config_text,
+    project,
     resolve_run_config,
 )
-from stanseg.data_io import read_pgm
+from stanseg.data_io import SynthConfig, read_pgm
+from stanseg.model import ModelConfig
+from stanseg.training import TrainConfig
 
 TINY = ["--input-size", "16", "--base-filters", "4", "--epochs", "2",
         "--batch-size", "2", "--seed", "11"]
@@ -81,6 +85,53 @@ class TestConfigParsing:
     def test_bad_arch_rejected(self):
         with pytest.raises(ConfigError, match="arch"):
             parse_config_text("arch = resnet\n")
+
+
+class TestKeyTable:
+    """The flat keys are derived from the library configs; each one must
+    reach the config that consumes it."""
+
+    SECTIONS = (ModelConfig, TrainConfig, SynthConfig)
+    # every key set away from its default, valid for every section
+    CHANGED = dict(
+        arch="unet", input_size=32, base_filters=8, seed=9, epochs=12,
+        batch_size=3, learning_rate=1e-3, beta1=0.8, beta2=0.95, eps=1e-7,
+        shift_fraction=0.2, folds=4, threshold=0.6, small_axis=100.0,
+        count=5, axis_range=(4.0, 9.0), axis_list=(8.0, 12.0),
+        lesion_intensity=0.2, background_intensity=0.8, noise_sigma=0.05,
+        rotation_range=(0.0, 1.5))
+
+    @staticmethod
+    def flat_key(name):
+        return "input_size" if name == "image_size" else name
+
+    def test_key_set_is_sections_plus_evaluation(self):
+        keys = {f.name for f in dataclasses.fields(RunConfig)}
+        derived = {self.flat_key(f.name) for section in self.SECTIONS
+                   for f in dataclasses.fields(section)}
+        assert keys == derived | {"threshold", "small_axis"}
+        assert keys == set(self.CHANGED)
+
+    def test_every_key_reaches_its_section(self):
+        run = RunConfig(**self.CHANGED)
+        defaults = RunConfig()
+        for key, value in self.CHANGED.items():
+            assert getattr(defaults, key) != value, key
+        for section in self.SECTIONS:
+            cfg = project(run, section)
+            for f in dataclasses.fields(section):
+                assert getattr(cfg, f.name) == self.CHANGED[self.flat_key(f.name)], \
+                    (section.__name__, f.name)
+
+    def test_default_run_projects_to_section_defaults(self):
+        for section in self.SECTIONS:
+            got = project(RunConfig(), section)
+            if section is SynthConfig:
+                # the flat input_size default is the model's 256, not
+                # the generator's own 64
+                assert got.image_size == 256
+                got = dataclasses.replace(got, image_size=64)
+            assert got == section(), section.__name__
 
 
 class TestResolution:
@@ -288,6 +339,20 @@ class TestErrorContract:
             ["synth", "--input-size", "32", "--axis-list", "100",
              str(tmp_path / "d")],
             "GeometryError")
+
+    @pytest.mark.parametrize("config_text, argv, key", [
+        ("noise_sigma = nan\n", ["synth", "d"], "noise_sigma"),
+        ("axis_range = 4, nan\n", ["synth", "d"], "axis_range"),
+        ("", ["train", "--lr", "nan", "d", "o"], "learning_rate"),
+        ("", ["eval", "--small-axis", "inf", "w", "d", "o"], "small_axis"),
+    ], ids=["config-key", "config-tuple-key", "flag", "flag-inf"])
+    def test_non_finite_setting_rejected(self, tmp_path, monkeypatch, capsys,
+                                         config_text, argv, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(config_text)
+        line = self.check_error(capsys, [*argv, "--config", "run.cfg"],
+                                "ConfigError")
+        assert key in line and "finite" in line
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -251,6 +251,13 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match="axis_range"):
             SynthConfig(axis_range=(10.0, 5.0))
 
+    @pytest.mark.parametrize("axis", [0.0, -6.0])
+    def test_nonpositive_axis_list_rejected(self, axis):
+        # a zero diameter draws an empty mask, a negative one records a
+        # negative lesion_axis; both must fail before any sample is drawn
+        with pytest.raises(ValueError, match="axis_list"):
+            SynthConfig(axis_list=(8.0, axis))
+
     def test_oversized_range_rejected(self):
         with pytest.raises(GeometryError):
             SynthConfig(image_size=16, axis_range=(8.0, 8.0))

@@ -22,7 +22,7 @@ from stanseg.training import (
     cross_validate,
     dice_loss,
     fold_seed,
-    history_to_json,
+    history_to_dict,
     kfold_split,
     shift_sample,
     train,
@@ -360,6 +360,6 @@ class TestCrossValidate:
 class TestHistoryJson:
     def test_serializes_core_fields(self):
         h = TrainHistory(seed=3, epoch_losses=[0.5, 0.4], epoch_seconds=[0.1, 0.1])
-        payload = json.loads(history_to_json(h))
+        payload = json.loads(json.dumps(history_to_dict(h)))
         assert payload["seed"] == 3
         assert payload["epoch_losses"] == [0.5, 0.4]
