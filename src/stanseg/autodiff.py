@@ -199,6 +199,20 @@ def _check_input_4d(op: str, x: Tensor) -> None:
         raise ShapeMismatchError(f"{op}: input must be 4-D (B, C, H, W), got {x.shape}")
 
 
+def _windows(a: np.ndarray, k: int) -> np.ndarray:
+    """(B, C, H, W, k, k) view of the k x k windows of same-padded ``a``."""
+    pad = (k - 1) // 2
+    ap = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    return sliding_window_view(ap, (k, k), axis=(2, 3))
+
+
+def _correlate(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same-padded cross-correlation of ``a`` (B, Cin, H, W) with ``w``
+    (Cout, Cin, k, k), giving (B, Cout, H, W)."""
+    out = np.tensordot(_windows(a, w.shape[2]), w, axes=((1, 4, 5), (1, 2, 3)))
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """Same-padded stride-1 convolution with an odd square kernel."""
     _check_input_4d("conv2d", x)
@@ -210,11 +224,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         raise ShapeMismatchError(
             f"conv2d: input channel axis 1 has {x.shape[1]} channels, "
             f"kernel expects {params.in_channels}")
-    pad = (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (B, Cin, H, W, k, k)
-    out = np.tensordot(win, w.data, axes=((1, 4, 5), (1, 2, 3)))  # (B, H, W, Cout)
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + bias.data[None, :, None, None]
+    out = _correlate(x.data, w.data) + bias.data[None, :, None, None]
 
     need_x, need_w, need_b = _needs_grad(x), _needs_grad(w), _needs_grad(bias)
 
@@ -223,14 +233,12 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         if need_b:
             gb = g.sum(axis=(0, 2, 3))
         if need_w:
-            gw = np.tensordot(win, g, axes=((0, 2, 3), (0, 2, 3)))  # (Cin, k, k, Cout)
+            gw = np.tensordot(_windows(x.data, k), g,
+                              axes=((0, 2, 3), (0, 2, 3)))  # (Cin, k, k, Cout)
             gw = np.ascontiguousarray(gw.transpose(3, 0, 1, 2))
         if need_x:
-            gp = np.pad(g, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            gwin = sliding_window_view(gp, (k, k), axis=(2, 3))
-            wf = w.data[:, :, ::-1, ::-1]
-            gx = np.tensordot(gwin, wf, axes=((1, 4, 5), (0, 2, 3)))  # (B, H, W, Cin)
-            gx = np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
+            # correlate g with the flipped kernel, input/output channels swapped
+            gx = _correlate(g, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         return gx, gw, gb
 
     return _result(out, "conv2d", (x, w, bias), backward_fn)

@@ -15,6 +15,7 @@ exact ellipse as the ground-truth mask.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,11 +100,13 @@ def read_pgm(path) -> np.ndarray:
             raise PgmFormatError(f"{path}: non-positive dimensions {width}x{height}")
         if maxval != 255:
             raise PgmFormatError(f"{path}: only maxval 255 supported, got {maxval}")
-        raster = f.read(width * height)
-        if len(raster) != width * height:
+        # check the declared size against the file before allocating it
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left < width * height:
             raise PgmFormatError(
                 f"{path}: truncated raster, wanted {width * height} bytes, "
-                f"got {len(raster)}")
+                f"got {left}")
+        raster = f.read(width * height)
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
 
 
@@ -191,6 +194,8 @@ def dataset_manifest(directory, target_size: int | None = None) -> list[Sample]:
     """Load every ``<stem>.pgm`` + ``<stem>_mask.pgm`` pair under
     ``directory``, in lexicographic stem order."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"{directory}: no such dataset directory")
     stems = set()
     mask_stems = set()
     for p in directory.glob("*.pgm"):
@@ -245,8 +250,10 @@ class SynthConfig:
         lo, hi = self.axis_range
         if not 0 < lo <= hi:
             raise ValueError(f"bad axis_range {self.axis_range}")
-        if self.axis_list is not None and not all(a > 0 for a in self.axis_list):
-            raise ValueError(f"axis_list entries must be positive, got {self.axis_list}")
+        if self.axis_list is not None and not (
+                self.axis_list and all(a > 0 for a in self.axis_list)):
+            raise ValueError(
+                f"axis_list must be non-empty with positive entries, got {self.axis_list}")
         largest = max(self.axis_list) / 2.0 if self.axis_list else hi
         if 2.0 * largest >= self.image_size:
             raise GeometryError(

@@ -20,8 +20,9 @@ is a per-pixel probability map the size of the input.
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .autodiff import (
     conv2d,
     deconv2d,
     maxpool2d,
+    no_grad,
     relu,
     sigmoid,
 )
@@ -93,105 +95,24 @@ class ModelConfig:
             raise ValueError(f"seed must fit in an unsigned 64-bit int, got {self.seed}")
 
 
-def _stan_layer_specs(base_filters: int) -> list[tuple[str, int, int, int]]:
-    """(name, out_channels, in_channels, kernel) in creation order; kernel 2
-    marks a stride-2 transposed convolution."""
-    f = [base_filters * 2 ** k for k in range(4)]
-    f5 = base_filters * 16
-    specs = []
-    cin = 1
-    for k in range(1, 5):
-        fk = f[k - 1]
-        specs += [
-            (f"enc{k}_b1_conv3a", fk, cin, 3),
-            (f"enc{k}_b1_conv3b", fk, fk, 3),
-            (f"enc{k}_b2_conv1", fk // 2, cin, 1),
-            (f"enc{k}_b2_conv1_3", fk // 2, fk // 2, 3),
-            (f"enc{k}_b2_conv5", fk // 2, cin, 5),
-            (f"enc{k}_b2_conv5_3", fk // 2, fk // 2, 3),
-        ]
-        cin = fk
-    specs += [
-        ("mid_conv5a", f5 // 2, f[3], 5),
-        ("mid_conv5b", f5 // 2, f5 // 2, 5),
-        ("mid_conv1a", f5 // 4, f[3], 1),
-        ("mid_conv1b", f5 // 4, f5 // 4, 1),
-        ("mid_conv3a", f5 // 4, f[3], 3),
-        ("mid_conv3b", f5 // 4, f5 // 4, 3),
-    ]
-    up_in = f5
-    for k in range(4, 0, -1):
-        fk = f[k - 1]
-        specs += [
-            (f"dec{k}_up", fk, up_in, 2),
-            (f"dec{k}_conv3a", fk, 2 * fk, 3),
-            (f"dec{k}_skip_conv5", fk // 2, fk, 5),
-            (f"dec{k}_conv3b", fk, 3 * fk // 2, 3),
-        ]
-        up_in = 2 * fk
-    specs.append(("head_conv1", 1, 2 * base_filters, 1))
-    return specs
-
-
-def _unet_layer_specs(base_filters: int) -> list[tuple[str, int, int, int]]:
-    f = [base_filters * 2 ** k for k in range(4)]
-    f5 = base_filters * 16
-    specs = []
-    cin = 1
-    for k in range(1, 5):
-        fk = f[k - 1]
-        specs += [
-            (f"enc{k}_conv3a", fk, cin, 3),
-            (f"enc{k}_conv3b", fk, fk, 3),
-        ]
-        cin = fk
-    specs += [
-        ("mid_conv3a", f5, f[3], 3),
-        ("mid_conv3b", f5, f5, 3),
-    ]
-    up_in = f5
-    for k in range(4, 0, -1):
-        fk = f[k - 1]
-        specs += [
-            (f"dec{k}_up", fk, up_in, 2),
-            (f"dec{k}_conv3a", fk, 2 * fk, 3),
-            (f"dec{k}_conv3b", fk, fk, 3),
-        ]
-        up_in = fk
-    specs.append(("head_conv1", 1, base_filters, 1))
-    return specs
-
-
-def _layer_specs(config: ModelConfig) -> list[tuple[str, int, int, int]]:
-    if config.arch == "stan":
-        return _stan_layer_specs(config.base_filters)
-    return _unet_layer_specs(config.base_filters)
-
-
-def _init_params(specs, seed: int) -> dict[str, ConvParams]:
-    """Fan-in-scaled uniform weights, zero biases, in layer-table order."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, ConvParams] = {}
-    for name, cout, cin, k in specs:
-        bound = np.sqrt(6.0 / (cin * k * k))
-        w = rng.uniform(-bound, bound, size=(cout, cin, k, k))
-        params[name] = ConvParams(Tensor(w, requires_grad=True),
-                                  Tensor(np.zeros(cout), requires_grad=True))
-    return params
-
-
 @dataclass
 class Model:
-    """An instantiated network: config, named parameters, and wiring.
+    """An instantiated network: config and named parameters.
 
     ``params`` preserves creation order, which is also the
-    serialization order. ``wiring`` is the per-layer
-    (name, out_channels, in_channels, kernel) table.
+    serialization order: the order in which the forward pass first
+    uses each layer.
     """
 
     config: ModelConfig
     params: dict[str, ConvParams]
-    wiring: tuple = field(repr=False)
+
+    @property
+    def wiring(self) -> tuple[tuple[str, int, int, int], ...]:
+        """(name, out_channels, in_channels, kernel) per layer, in
+        creation order; kernel 2 marks a stride-2 transposed convolution."""
+        return tuple((name, p.out_channels, p.in_channels, p.kernel_size)
+                     for name, p in self.params.items())
 
     def forward(self, batch: Tensor, trace: dict | None = None) -> Tensor:
         """Probability map for ``batch`` of shape (B, 1, size, size).
@@ -207,74 +128,106 @@ class Model:
         if batch.shape[2] != size or batch.shape[3] != size:
             raise ShapeMismatchError(
                 f"spatial extents {batch.shape[2:]} do not match input_size {size}")
-        if self.config.arch == "stan":
-            return self._forward_stan(batch, trace)
-        return self._forward_unet(batch, trace)
+        return _FORWARD[self.config.arch](
+            batch, self.config.base_filters,
+            lambda name, cin, cout, k: self.params[name],
+            trace if trace is not None else {})
 
-    def _conv(self, x: Tensor, name: str) -> Tensor:
-        return relu(conv2d(x, self.params[name]))
 
-    def _forward_stan(self, batch: Tensor, trace: dict | None) -> Tensor:
-        p = self.params
-        tr = trace if trace is not None else {}
-        x1 = x2 = batch
-        for k in range(1, 5):
-            a1 = self._conv(x1, f"enc{k}_b1_conv3a")
-            a2 = self._conv(a1, f"enc{k}_b1_conv3b")
-            b1 = self._conv(self._conv(x2, f"enc{k}_b2_conv1"), f"enc{k}_b2_conv1_3")
-            b2 = self._conv(self._conv(x2, f"enc{k}_b2_conv5"), f"enc{k}_b2_conv5_3")
-            sb = concat_channels(b1, b2)
-            tr[f"enc{k}_skip_a"] = a1
-            tr[f"enc{k}_skip_b"] = sb
-            x1 = maxpool2d(a2)
-            x2 = maxpool2d(sb)
+# A layer lookup maps (name, in_channels, out_channels, kernel) to the
+# layer's parameters. Each forward pass below declares every layer once,
+# at its call site, and takes in_channels from the tensor the layer reads.
 
-        m5 = self._conv(self._conv(x1, "mid_conv5a"), "mid_conv5b")
-        m1 = self._conv(self._conv(x2, "mid_conv1a"), "mid_conv1b")
-        m3 = self._conv(self._conv(x2, "mid_conv3a"), "mid_conv3b")
-        u = concat_channels(m5, m1, m3)
+def _forward_stan(batch: Tensor, f1: int, layer, tr: dict) -> Tensor:
+    def conv(x, name, cout, k):
+        return relu(conv2d(x, layer(name, x.shape[1], cout, k)))
 
-        for k in range(4, 0, -1):
-            up = deconv2d(u, p[f"dec{k}_up"])
-            cat_up = concat_channels(up, tr[f"enc{k}_skip_a"])
-            t1 = self._conv(cat_up, f"dec{k}_conv3a")
-            s5 = self._conv(tr[f"enc{k}_skip_a"], f"dec{k}_skip_conv5")
-            cat_mid = concat_channels(t1, s5)
-            t2 = self._conv(cat_mid, f"dec{k}_conv3b")
-            u = concat_channels(t2, tr[f"enc{k}_skip_b"])
-            tr[f"dec{k}_cat_up"] = cat_up
-            tr[f"dec{k}_cat_mid"] = cat_mid
-            tr[f"dec{k}_out"] = u
+    x1 = x2 = batch
+    for k in range(1, 5):
+        fk = f1 * 2 ** (k - 1)
+        a1 = conv(x1, f"enc{k}_b1_conv3a", fk, 3)
+        a2 = conv(a1, f"enc{k}_b1_conv3b", fk, 3)
+        b1 = conv(conv(x2, f"enc{k}_b2_conv1", fk // 2, 1), f"enc{k}_b2_conv1_3", fk // 2, 3)
+        b2 = conv(conv(x2, f"enc{k}_b2_conv5", fk // 2, 5), f"enc{k}_b2_conv5_3", fk // 2, 3)
+        sb = concat_channels(b1, b2)
+        tr[f"enc{k}_skip_a"] = a1
+        tr[f"enc{k}_skip_b"] = sb
+        x1 = maxpool2d(a2)
+        x2 = maxpool2d(sb)
 
-        return sigmoid(conv2d(u, p["head_conv1"]))
+    f5 = f1 * 16
+    m5 = conv(conv(x1, "mid_conv5a", f5 // 2, 5), "mid_conv5b", f5 // 2, 5)
+    m1 = conv(conv(x2, "mid_conv1a", f5 // 4, 1), "mid_conv1b", f5 // 4, 1)
+    m3 = conv(conv(x2, "mid_conv3a", f5 // 4, 3), "mid_conv3b", f5 // 4, 3)
+    u = concat_channels(m5, m1, m3)
 
-    def _forward_unet(self, batch: Tensor, trace: dict | None) -> Tensor:
-        p = self.params
-        tr = trace if trace is not None else {}
-        x = batch
-        for k in range(1, 5):
-            a = self._conv(self._conv(x, f"enc{k}_conv3a"), f"enc{k}_conv3b")
-            tr[f"enc{k}_skip"] = a
-            x = maxpool2d(a)
+    for k in range(4, 0, -1):
+        fk = f1 * 2 ** (k - 1)
+        up = deconv2d(u, layer(f"dec{k}_up", u.shape[1], fk, 2))
+        cat_up = concat_channels(up, tr[f"enc{k}_skip_a"])
+        t1 = conv(cat_up, f"dec{k}_conv3a", fk, 3)
+        s5 = conv(tr[f"enc{k}_skip_a"], f"dec{k}_skip_conv5", fk // 2, 5)
+        cat_mid = concat_channels(t1, s5)
+        t2 = conv(cat_mid, f"dec{k}_conv3b", fk, 3)
+        u = concat_channels(t2, tr[f"enc{k}_skip_b"])
+        tr[f"dec{k}_cat_up"] = cat_up
+        tr[f"dec{k}_cat_mid"] = cat_mid
+        tr[f"dec{k}_out"] = u
 
-        x = self._conv(self._conv(x, "mid_conv3a"), "mid_conv3b")
+    return sigmoid(conv2d(u, layer("head_conv1", u.shape[1], 1, 1)))
 
-        for k in range(4, 0, -1):
-            up = deconv2d(x, p[f"dec{k}_up"])
-            cat = concat_channels(up, tr[f"enc{k}_skip"])
-            x = self._conv(self._conv(cat, f"dec{k}_conv3a"), f"dec{k}_conv3b")
-            tr[f"dec{k}_cat_up"] = cat
-            tr[f"dec{k}_out"] = x
 
-        return sigmoid(conv2d(x, p["head_conv1"]))
+def _forward_unet(batch: Tensor, f1: int, layer, tr: dict) -> Tensor:
+    def conv(x, name, cout, k):
+        return relu(conv2d(x, layer(name, x.shape[1], cout, k)))
+
+    x = batch
+    for k in range(1, 5):
+        fk = f1 * 2 ** (k - 1)
+        a = conv(conv(x, f"enc{k}_conv3a", fk, 3), f"enc{k}_conv3b", fk, 3)
+        tr[f"enc{k}_skip"] = a
+        x = maxpool2d(a)
+
+    x = conv(conv(x, "mid_conv3a", f1 * 16, 3), "mid_conv3b", f1 * 16, 3)
+
+    for k in range(4, 0, -1):
+        fk = f1 * 2 ** (k - 1)
+        up = deconv2d(x, layer(f"dec{k}_up", x.shape[1], fk, 2))
+        cat = concat_channels(up, tr[f"enc{k}_skip"])
+        x = conv(conv(cat, f"dec{k}_conv3a", fk, 3), f"dec{k}_conv3b", fk, 3)
+        tr[f"dec{k}_cat_up"] = cat
+        tr[f"dec{k}_out"] = x
+
+    return sigmoid(conv2d(x, layer("head_conv1", x.shape[1], 1, 1)))
+
+
+_FORWARD = {"stan": _forward_stan, "unet": _forward_unet}
 
 
 def build_model(config: ModelConfig) -> Model:
     """Instantiate the network named by ``config.arch`` with seeded
-    parameters."""
-    specs = _layer_specs(config)
-    params = _init_params(specs, config.seed)
-    return Model(config=config, params=params, wiring=tuple(specs))
+    parameters.
+
+    Runs the forward pass once on an empty batch; each layer is created
+    when first used, with fan-in-scaled uniform weights drawn from the
+    seeded generator in that order, and zero biases.
+    """
+    rng = np.random.default_rng(config.seed)
+    params: dict[str, ConvParams] = {}
+
+    def create(name, cin, cout, k):
+        if name not in params:
+            bound = np.sqrt(6.0 / (cin * k * k))
+            w = rng.uniform(-bound, bound, size=(cout, cin, k, k))
+            params[name] = ConvParams(Tensor(w, requires_grad=True),
+                                      Tensor(np.zeros(cout), requires_grad=True))
+        return params[name]
+
+    size = config.input_size
+    with no_grad():
+        _FORWARD[config.arch](Tensor(np.zeros((0, 1, size, size))),
+                              config.base_filters, create, {})
+    return Model(config=config, params=params)
 
 
 def build_stan(config: ModelConfig) -> Model:
@@ -328,11 +281,12 @@ def save_weights(model: Model, path) -> None:
 
 
 def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
+    # check the declared length against the file before allocating it
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left < n:
         raise WeightTruncatedError(
-            f"weight file ended early: wanted {n} bytes, got {len(buf)}")
-    return buf
+            f"weight file ended early: wanted {n} bytes, got {left}")
+    return f.read(n)
 
 
 def load_weights(path) -> Model:
@@ -359,7 +313,7 @@ def load_weights(path) -> Model:
                 f"file declares {count} arrays, config implies {len(expected)}")
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-            name = _read_exact(f, name_len).decode("utf-8")
+            name = _read_exact(f, name_len).decode("utf-8", errors="replace")
             if name not in expected:
                 raise WeightMismatchError(f"unexpected parameter {name!r}")
             (rank,) = struct.unpack("<I", _read_exact(f, 4))

@@ -114,7 +114,7 @@ def dice_loss_ref(p, g):
 
 def stan_layer_table(base_filters, in_channels=1):
     """(out_channels, in_channels, kernel) of every parameterised layer of
-    the dual-branch network, in no particular order (sizes only)."""
+    the dual-branch network, in creation order (``STAN_LAYER_NAMES``)."""
     f = [base_filters * 2 ** k for k in range(4)]
     f5 = base_filters * 16
     layers = []
@@ -137,7 +137,8 @@ def stan_layer_table(base_filters, in_channels=1):
 
 
 def unet_layer_table(base_filters, in_channels=1):
-    """Layer sizes of the single-branch baseline."""
+    """Layer sizes of the single-branch baseline, in creation order
+    (``UNET_LAYER_NAMES``)."""
     f = [base_filters * 2 ** k for k in range(4)]
     f5 = base_filters * 16
     layers = []
@@ -152,6 +153,35 @@ def unet_layer_table(base_filters, in_channels=1):
         up_in = fk
     layers += [(1, base_filters, 1)]
     return layers
+
+
+# Layer names in creation order, which is also the order of the arrays in a
+# weight file and of the initial RNG draws; frozen, not derived.
+STAN_LAYER_NAMES = [
+    "enc1_b1_conv3a", "enc1_b1_conv3b", "enc1_b2_conv1", "enc1_b2_conv1_3",
+    "enc1_b2_conv5", "enc1_b2_conv5_3",
+    "enc2_b1_conv3a", "enc2_b1_conv3b", "enc2_b2_conv1", "enc2_b2_conv1_3",
+    "enc2_b2_conv5", "enc2_b2_conv5_3",
+    "enc3_b1_conv3a", "enc3_b1_conv3b", "enc3_b2_conv1", "enc3_b2_conv1_3",
+    "enc3_b2_conv5", "enc3_b2_conv5_3",
+    "enc4_b1_conv3a", "enc4_b1_conv3b", "enc4_b2_conv1", "enc4_b2_conv1_3",
+    "enc4_b2_conv5", "enc4_b2_conv5_3",
+    "mid_conv5a", "mid_conv5b", "mid_conv1a", "mid_conv1b", "mid_conv3a", "mid_conv3b",
+    "dec4_up", "dec4_conv3a", "dec4_skip_conv5", "dec4_conv3b",
+    "dec3_up", "dec3_conv3a", "dec3_skip_conv5", "dec3_conv3b",
+    "dec2_up", "dec2_conv3a", "dec2_skip_conv5", "dec2_conv3b",
+    "dec1_up", "dec1_conv3a", "dec1_skip_conv5", "dec1_conv3b",
+    "head_conv1",
+]
+
+UNET_LAYER_NAMES = [
+    "enc1_conv3a", "enc1_conv3b", "enc2_conv3a", "enc2_conv3b",
+    "enc3_conv3a", "enc3_conv3b", "enc4_conv3a", "enc4_conv3b",
+    "mid_conv3a", "mid_conv3b",
+    "dec4_up", "dec4_conv3a", "dec4_conv3b", "dec3_up", "dec3_conv3a", "dec3_conv3b",
+    "dec2_up", "dec2_conv3a", "dec2_conv3b", "dec1_up", "dec1_conv3a", "dec1_conv3b",
+    "head_conv1",
+]
 
 
 def param_count_ref(layer_table):

@@ -19,7 +19,7 @@ from stanseg.cli import (
     resolve_run_config,
 )
 from stanseg.data_io import SynthConfig, read_pgm
-from stanseg.model import ModelConfig
+from stanseg.model import ModelConfig, build_model, save_weights
 from stanseg.training import TrainConfig
 
 TINY = ["--input-size", "16", "--base-filters", "4", "--epochs", "2",
@@ -309,6 +309,15 @@ class TestErrorContract:
             capsys,
             ["train", str(tmp_path / "nowhere"), str(tmp_path / "out")],
             "Error")
+
+    def test_missing_eval_data_dir(self, tmp_path, capsys):
+        weights = tmp_path / "w.bin"
+        save_weights(build_model(ModelConfig(input_size=16, base_filters=4)), weights)
+        missing = tmp_path / "nowhere"
+        line = self.check_error(
+            capsys, ["eval", str(weights), str(missing), str(tmp_path / "out")],
+            "FileNotFoundError")
+        assert str(missing) in line
 
     def test_missing_weights(self, tmp_path, capsys):
         self.check_error(

@@ -63,9 +63,13 @@ class TestPgmIo:
         with pytest.raises(PgmFormatError, match="maxval"):
             read_pgm(path)
 
-    def test_truncated_raster(self, tmp_path):
+    @pytest.mark.parametrize("blob", [
+        b"P5\n4 4\n255\n" + bytes(9),
+        b"P5\n1000000 1000000\n255\n" + bytes(3),
+    ], ids=["short", "huge-declared"])
+    def test_truncated_raster(self, tmp_path, blob):
         path = tmp_path / "short.pgm"
-        path.write_bytes(b"P5\n4 4\n255\n" + bytes(9))
+        path.write_bytes(blob)
         with pytest.raises(PgmFormatError, match="truncated"):
             read_pgm(path)
 
@@ -230,6 +234,12 @@ class TestManifest:
         with pytest.raises(UnpairedFilesError, match="orphan"):
             dataset_manifest(tmp_path)
 
+    def test_missing_directory_named(self, tmp_path):
+        # Path.glob on a missing directory yields nothing, which read as
+        # an empty dataset
+        with pytest.raises(FileNotFoundError, match="nowhere"):
+            dataset_manifest(tmp_path / "nowhere")
+
     def test_target_size_applies_to_all(self, tmp_path):
         self.fill(tmp_path, ["a", "b"])
         samples = dataset_manifest(tmp_path, target_size=12)
@@ -251,12 +261,14 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match="axis_range"):
             SynthConfig(axis_range=(10.0, 5.0))
 
-    @pytest.mark.parametrize("axis", [0.0, -6.0])
-    def test_nonpositive_axis_list_rejected(self, axis):
+    @pytest.mark.parametrize("axis_list", [(8.0, 0.0), (8.0, -6.0), ()],
+                             ids=["0.0", "-6.0", "empty"])
+    def test_nonpositive_axis_list_rejected(self, axis_list):
         # a zero diameter draws an empty mask, a negative one records a
-        # negative lesion_axis; both must fail before any sample is drawn
+        # negative lesion_axis, an empty list has nothing to cycle; all
+        # must fail before any sample is drawn
         with pytest.raises(ValueError, match="axis_list"):
-            SynthConfig(axis_list=(8.0, axis))
+            SynthConfig(axis_list=axis_list)
 
     def test_oversized_range_rejected(self):
         with pytest.raises(GeometryError):

@@ -22,7 +22,13 @@ from stanseg.model import (
 )
 from stanseg.training import dice_loss
 
-from reference import param_count_ref, stan_layer_table, unet_layer_table
+from reference import (
+    STAN_LAYER_NAMES,
+    UNET_LAYER_NAMES,
+    param_count_ref,
+    stan_layer_table,
+    unet_layer_table,
+)
 
 
 def tiny_config(arch="stan", size=32, f1=4, seed=0):
@@ -77,6 +83,15 @@ class TestParamCounts:
         built = sorted((cout, cin, k) for _, cout, cin, k in model.wiring)
         table = stan_layer_table(f1) if arch == "stan" else unet_layer_table(f1)
         assert built == sorted(table)
+
+    @pytest.mark.parametrize("arch", ["stan", "unet"])
+    def test_creation_order_frozen(self, arch):
+        # weight files and the initial RNG draws follow this order
+        model = build_model(tiny_config(arch=arch, f1=4))
+        names, table = ((STAN_LAYER_NAMES, stan_layer_table(4)) if arch == "stan"
+                        else (UNET_LAYER_NAMES, unet_layer_table(4)))
+        assert list(model.wiring) == [(n, *row) for n, row in zip(names, table)]
+        assert len(model.wiring) == len(names) == len(table)
 
     def test_unet_smaller_than_stan(self):
         stan = build_model(tiny_config("stan", f1=8))
@@ -144,6 +159,14 @@ class TestForward:
         model = build_model(tiny_config())
         with pytest.raises(ShapeMismatchError, match="B, 1"):
             model.forward(Tensor(np.zeros((1, 2, 32, 32))))
+
+    @pytest.mark.parametrize("arch", ["stan", "unet"])
+    def test_missing_layer_raises_and_is_not_created(self, arch):
+        model = build_model(tiny_config(arch=arch))
+        del model.params["head_conv1"]
+        with no_grad(), pytest.raises(KeyError, match="head_conv1"):
+            model.forward(Tensor(np.zeros((1, 1, 32, 32))))
+        assert "head_conv1" not in model.params
 
     @pytest.mark.parametrize("arch", ["stan", "unet"])
     def test_forward_is_pure(self, arch):
@@ -329,6 +352,28 @@ class TestWeightFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 16])
         with pytest.raises(WeightTruncatedError):
+            load_weights(path)
+
+    def test_huge_declared_rank_rejected(self, tmp_path):
+        model = build_model(tiny_config())
+        path = tmp_path / "m.stanw"
+        save_weights(model, path)
+        blob = bytearray(path.read_bytes())
+        name_len = int.from_bytes(blob[32:36], "little")
+        rank_at = 36 + name_len  # rank of the first array follows its name
+        blob[rank_at:rank_at + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightTruncatedError, match="ended early"):
+            load_weights(path)
+
+    def test_undecodable_name_rejected(self, tmp_path):
+        model = build_model(tiny_config())
+        path = tmp_path / "m.stanw"
+        save_weights(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[36] = 0xFF  # first byte of the first array's name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightMismatchError, match="unexpected parameter"):
             load_weights(path)
 
     def test_wrong_array_count_rejected(self, tmp_path):
