@@ -9,8 +9,13 @@ aer is computed as fpr + (1 - tpr), which makes the identity
 aer = fpr + 1 - tpr hold bitwise. Boundary distances are measured
 between centres of 4-connectivity boundary pixels, symmetrically in
 both directions. The longest axis is the maximum pairwise distance
-between foreground pixel centres (computed on the convex hull, which
-attains the same maximum).
+between foreground pixel centres, taken over the leftmost and rightmost
+pixel of each row, which include every vertex of the convex hull.
+Squared distances between pixel centres are integers: they are reduced
+as int64, in blocks of at most ``_BLOCK_ELEMENTS`` so that memory does
+not grow with the product of two point counts, and the square root
+(monotone, correctly rounded) is taken last, which is bitwise the same
+as taking it first.
 """
 
 from __future__ import annotations
@@ -68,15 +73,31 @@ def region_metrics(pred: np.ndarray, gt: np.ndarray):
 
 
 def boundary_points(mask: np.ndarray) -> np.ndarray:
-    """(N, 2) float centres of foreground pixels with a 4-neighbour outside
-    the region (off-image counts as outside), in row-major order."""
+    """(N, 2) integer coordinates of foreground pixels with a 4-neighbour
+    outside the region (off-image counts as outside), in row-major order."""
     m = np.asarray(mask, dtype=bool)
     if not m.any():
         raise EmptyMaskError("empty mask has no boundary")
     padded = np.pad(m, 1)
     interior = (padded[:-2, 1:-1] & padded[2:, 1:-1] &
                 padded[1:-1, :-2] & padded[1:-1, 2:])
-    return np.argwhere(m & ~interior).astype(np.float64)
+    return np.argwhere(m & ~interior)
+
+
+_BLOCK_ELEMENTS = 1 << 16  # 512 KB of int64 per block, which stays in cache
+
+
+def _squared_distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield int64 squared distances from consecutive rows of ``a`` to all of
+    ``b``, in blocks of at most ``_BLOCK_ELEMENTS`` (at least one row)."""
+    step = max(1, _BLOCK_ELEMENTS // len(b))
+    for start in range(0, len(a), step):
+        d2 = a[start:start + step, 0, None] - b[None, :, 0]
+        d2 *= d2
+        dx = a[start:start + step, 1, None] - b[None, :, 1]
+        dx *= dx
+        d2 += dx
+        yield d2
 
 
 def boundary_errors(pred: np.ndarray, gt: np.ndarray):
@@ -84,58 +105,30 @@ def boundary_errors(pred: np.ndarray, gt: np.ndarray):
     point sets. Raises :class:`EmptyMaskError` if either mask is empty."""
     pa = boundary_points(pred)
     pg = boundary_points(gt)
-    dy = pa[:, 0][:, None] - pg[:, 0][None, :]
-    dx = pa[:, 1][:, None] - pg[:, 1][None, :]
-    dist = np.sqrt(dy * dy + dx * dx)
-    d_ag = dist.min(axis=1)
-    d_ga = dist.min(axis=0)
+    row_min = []
+    col_min = np.full(len(pg), np.iinfo(np.int64).max)
+    for d2 in _squared_distance_blocks(pa, pg):
+        row_min.append(d2.min(axis=1))
+        np.minimum(col_min, d2.min(axis=0), out=col_min)
+    d_ag = np.sqrt(np.concatenate(row_min))
+    d_ga = np.sqrt(col_min)
     he = max(float(d_ag.max()), float(d_ga.max()))
     mae = 0.5 * (float(np.mean(d_ag)) + float(np.mean(d_ga)))
     return he, mae
 
 
-def _convex_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Monotone-chain hull over integer points (collinear points dropped)."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[int, int]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[int, int]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def longest_axis(mask: np.ndarray) -> float:
-    """Maximum pairwise Euclidean distance between foreground pixel centres.
-
-    Squared distances are integers, so the result is bitwise equal to a
-    brute-force scan over all pixel pairs.
-    """
+    """Maximum pairwise Euclidean distance between foreground pixel centres,
+    taken over the leftmost and rightmost pixels of each row; squared
+    distances are integers, so it is bitwise equal to an all-pairs scan."""
     m = np.asarray(mask, dtype=bool)
-    coords = np.argwhere(m)
-    if coords.size == 0:
+    rows = np.flatnonzero(m.any(axis=1))
+    if rows.size == 0:
         raise EmptyMaskError("empty mask has no axis")
-    hull = _convex_hull([(int(y), int(x)) for y, x in coords])
-    best = 0
-    for i in range(len(hull)):
-        yi, xi = hull[i]
-        for j in range(i + 1, len(hull)):
-            dy = yi - hull[j][0]
-            dx = xi - hull[j][1]
-            d2 = dy * dy + dx * dx
-            if d2 > best:
-                best = d2
+    left = m[rows].argmax(axis=1)
+    right = m.shape[1] - 1 - m[rows, ::-1].argmax(axis=1)
+    ends = np.column_stack([np.tile(rows, 2), np.concatenate([left, right])])
+    best = max(int(d2.max()) for d2 in _squared_distance_blocks(ends, ends))
     return math.sqrt(best)
 
 

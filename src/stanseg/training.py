@@ -49,6 +49,11 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if not 0.0 <= self.shift_fraction < 0.5:
             raise ValueError(
                 f"shift_fraction must be in [0, 0.5), got {self.shift_fraction}")

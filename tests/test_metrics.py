@@ -4,13 +4,15 @@ and report serialization."""
 
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
+from stanseg import metrics
 from stanseg.autodiff import ShapeMismatchError, Tensor
-from stanseg.data_io import Sample
+from stanseg.data_io import Sample, ellipse_mask
 from stanseg.metrics import (
     EmptyGroundTruthError,
     EmptyMaskError,
@@ -39,10 +41,30 @@ from reference import (
 
 
 def random_mask_pair(seed, size=16, p=0.4):
+    """Two Bernoulli(p) masks of shape (size, size), or of shape ``size``
+    when it is a tuple."""
+    shape = size if isinstance(size, tuple) else (size, size)
     rng = np.random.default_rng(seed)
-    a = rng.random((size, size)) < p
-    g = rng.random((size, size)) < p
+    a = rng.random(shape) < p
+    g = rng.random(shape) < p
     return a, g
+
+
+# Non-square masks, so that row and column roles cannot be swapped unseen.
+RECTANGLES = ((7, 40), (40, 7))
+
+
+def line_mask(kind):
+    """A one-pixel-wide segment: along a single row, a single column, or
+    the main diagonal."""
+    if kind == "diagonal":
+        return np.eye(9, dtype=bool)
+    m = np.zeros((1, 12), dtype=bool)
+    m[0, 2:9] = True
+    return m if kind == "row" else m.T.copy()
+
+
+LINE_AXES = {"row": 6.0, "column": 6.0, "diagonal": math.sqrt(128)}
 
 
 class TestBinarize:
@@ -180,6 +202,47 @@ class TestBoundaryErrors:
         a, g = random_mask_pair(seed, p=0.45)
         a[5, 5] = g[8, 8] = True
         assert boundary_errors(a, g) == boundary_errors_ref(a, g)
+        for shape in RECTANGLES:
+            a, g = random_mask_pair(seed, shape, p=0.45)
+            a[5, 5] = g[6, 6] = True
+            assert boundary_errors(a, g) == boundary_errors_ref(a, g)
+
+    @pytest.mark.parametrize("kind", LINE_AXES)
+    def test_lines_match_brute_force_bitwise(self, kind):
+        line = line_mask(kind)
+        other, _ = random_mask_pair(3, line.shape, p=0.5)
+        other[-1, -1] = True
+        assert boundary_errors(line, other) == boundary_errors_ref(line, other)
+        assert boundary_errors(other, line) == boundary_errors_ref(other, line)
+
+    def test_small_blocks_match_brute_force_bitwise(self, monkeypatch):
+        # 40 squared distances per block: the blob's boundary takes one row
+        # per block, the square's several rows, in both operand orders
+        monkeypatch.setattr(metrics, "_BLOCK_ELEMENTS", 40)
+        blob, _ = random_mask_pair(4, 20, p=0.5)
+        square = np.zeros((20, 20), dtype=bool)
+        square[6:9, 11:14] = True
+        assert len(boundary_points(square)) < 40 < len(boundary_points(blob))
+        assert boundary_errors(blob, square) == boundary_errors_ref(blob, square)
+        assert boundary_errors(square, blob) == boundary_errors_ref(square, blob)
+        assert longest_axis(blob) == longest_axis_ref(blob)
+        assert longest_axis(square) == longest_axis_ref(square)
+
+    def test_memory_bounded_on_speckle(self):
+        # 256px Bernoulli(0.5) speckle against an ellipse: tens of thousands
+        # of boundary points against hundreds, so an all-pairs float matrix
+        # alone would exceed the bound
+        speckle = np.random.default_rng(0).random((256, 256)) < 0.5
+        gt = ellipse_mask(256, 120.0, 130.0, 40.0, 70.0, 0.3)
+        bound = 64 * 2**20
+        assert len(boundary_points(speckle)) * len(boundary_points(gt)) * 8 > bound
+        tracemalloc.start()
+        try:
+            boundary_errors(speckle, gt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("seed", range(6))
     def test_he_at_least_mae(self, seed):
@@ -220,6 +283,15 @@ class TestLongestAxis:
         m = rng.random((30, 30)) < 0.15
         m[10, 10] = True
         assert longest_axis(m) == longest_axis_ref(m)
+        for shape in RECTANGLES:
+            m = rng.random(shape) < 0.15
+            m[5, 5] = True
+            assert longest_axis(m) == longest_axis_ref(m)
+
+    @pytest.mark.parametrize("kind", LINE_AXES)
+    def test_lines_match_all_pairs_bitwise(self, kind):
+        m = line_mask(kind)
+        assert longest_axis(m) == longest_axis_ref(m) == LINE_AXES[kind]
 
     def test_empty_mask_rejected(self):
         with pytest.raises(EmptyMaskError):

@@ -56,9 +56,14 @@ class TestTrainConfig:
         {"shift_fraction": 0.5},
         {"shift_fraction": -0.1},
         {"folds": 1},
+        {"beta1": 1.0},
+        {"beta1": -0.1},
+        {"beta2": 1.0},
+        {"eps": 0.0},
     ])
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
             TrainConfig(**kwargs)
 
 
