@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -85,9 +85,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -420,33 +417,3 @@ def backward(loss: Tensor) -> None:
     for t in order:
         if not t.requires_grad:
             t.grad = None
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Compare the analytic gradient of scalar-valued ``f`` at ``x`` against
-    central finite differences.
-
-    Returns max over elements of |analytic - numeric| / max(1, |analytic|).
-    """
-    prev_flag = x.requires_grad
-    x.requires_grad = True
-    try:
-        out = f(x)
-        backward(out)
-        analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-        numeric = np.empty_like(x.data)
-        with no_grad():
-            for idx in np.ndindex(x.data.shape):
-                orig = x.data[idx]
-                x.data[idx] = orig + h
-                fp = float(f(x).data)
-                x.data[idx] = orig - h
-                fm = float(f(x).data)
-                x.data[idx] = orig
-                numeric[idx] = (fp - fm) / (2.0 * h)
-    finally:
-        x.requires_grad = prev_flag
-
-    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-    return float(rel.max())

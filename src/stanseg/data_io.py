@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +49,7 @@ class Sample:
     id: str
     image: np.ndarray
     mask: np.ndarray
-    origin: str = "file"
     native_size: tuple[int, int] = (0, 0)
-    lesion_axis: float | None = None
 
     def __post_init__(self):
         if self.image.shape != self.mask.shape:
@@ -60,8 +58,6 @@ class Sample:
                 f"{self.mask.shape}")
         if self.mask.dtype != np.bool_:
             raise MaskNotBinaryError(f"sample {self.id!r}: mask must be boolean")
-        if self.origin not in ("file", "synthetic"):
-            raise ValueError(f"unknown origin {self.origin!r}")
 
 
 # ------------------------------------------------------------------- pgm io
@@ -94,7 +90,10 @@ def read_pgm(path) -> np.ndarray:
             tok = _read_header_token(f, path)
             if not tok.isdigit():
                 raise PgmFormatError(f"{path}: non-numeric {name} {tok!r}")
-            fields.append(int(tok))
+            try:
+                fields.append(int(tok))
+            except ValueError:  # more digits than int() converts
+                raise PgmFormatError(f"{path}: {name} has {len(tok)} digits") from None
         width, height, maxval = fields
         if width <= 0 or height <= 0:
             raise PgmFormatError(f"{path}: non-positive dimensions {width}x{height}")
@@ -177,7 +176,7 @@ def load_sample(image_path, mask_path, target_size: int | None = None) -> Sample
         image = bilinear_resize(image, target_size, target_size)
         mask = nearest_resize(mask, target_size, target_size)
     return Sample(id=Path(image_path).stem, image=image, mask=mask,
-                  origin="file", native_size=img8.shape)
+                  native_size=img8.shape)
 
 
 def save_mask(mask: np.ndarray, path) -> None:
@@ -302,7 +301,6 @@ def synth_generate(cfg: SynthConfig) -> list[Sample]:
         image = np.where(mask, cfg.lesion_intensity, cfg.background_intensity)
         noise = rng.standard_normal((size, size))
         image = np.clip(image * (1.0 + cfg.noise_sigma * noise), 0.0, 1.0)
-        samples.append(Sample(
-            id=f"synth{i:03d}", image=image, mask=mask, origin="synthetic",
-            native_size=(size, size), lesion_axis=2.0 * a))
+        samples.append(Sample(id=f"synth{i:03d}", image=image, mask=mask,
+                              native_size=(size, size)))
     return samples

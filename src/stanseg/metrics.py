@@ -132,11 +132,6 @@ def longest_axis(mask: np.ndarray) -> float:
     return math.sqrt(best)
 
 
-def is_small(mask: np.ndarray, threshold: float = 120.0) -> bool:
-    """Longest axis at most ``threshold`` pixels (inclusive)."""
-    return longest_axis(mask) <= threshold
-
-
 @dataclass
 class ImageMetrics:
     """Per-image metric row."""

@@ -20,6 +20,7 @@ is a per-pixel probability map the size of the input.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -106,13 +107,6 @@ class Model:
 
     config: ModelConfig
     params: dict[str, ConvParams]
-
-    @property
-    def wiring(self) -> tuple[tuple[str, int, int, int], ...]:
-        """(name, out_channels, in_channels, kernel) per layer, in
-        creation order; kernel 2 marks a stride-2 transposed convolution."""
-        return tuple((name, p.out_channels, p.in_channels, p.kernel_size)
-                     for name, p in self.params.items())
 
     def forward(self, batch: Tensor, trace: dict | None = None) -> Tensor:
         """Probability map for ``batch`` of shape (B, 1, size, size).
@@ -204,49 +198,41 @@ def _forward_unet(batch: Tensor, f1: int, layer, tr: dict) -> Tensor:
 _FORWARD = {"stan": _forward_stan, "unet": _forward_unet}
 
 
+def _assemble(config: ModelConfig, layer) -> dict[str, ConvParams]:
+    """Run the forward pass of ``config.arch`` once on an empty batch and
+    return its layers in first-use order, each made by ``layer(name,
+    in_channels, out_channels, kernel)`` at the call site that declares it."""
+    params: dict[str, ConvParams] = {}
+
+    def lookup(name, cin, cout, k):
+        params[name] = layer(name, cin, cout, k)
+        return params[name]
+
+    # layer shapes do not depend on the spatial size, so the pass runs at
+    # the smallest size that survives four 2x poolings
+    with no_grad():
+        _FORWARD[config.arch](Tensor(np.zeros((0, 1, 16, 16))),
+                              config.base_filters, lookup, {})
+    return params
+
+
 def build_model(config: ModelConfig) -> Model:
     """Instantiate the network named by ``config.arch`` with seeded
     parameters.
 
-    Runs the forward pass once on an empty batch; each layer is created
+    Runs the forward pass through ``_assemble``; each layer is created
     when first used, with fan-in-scaled uniform weights drawn from the
     seeded generator in that order, and zero biases.
     """
     rng = np.random.default_rng(config.seed)
-    params: dict[str, ConvParams] = {}
 
     def create(name, cin, cout, k):
-        if name not in params:
-            bound = np.sqrt(6.0 / (cin * k * k))
-            w = rng.uniform(-bound, bound, size=(cout, cin, k, k))
-            params[name] = ConvParams(Tensor(w, requires_grad=True),
-                                      Tensor(np.zeros(cout), requires_grad=True))
-        return params[name]
+        bound = np.sqrt(6.0 / (cin * k * k))
+        w = rng.uniform(-bound, bound, size=(cout, cin, k, k))
+        return ConvParams(Tensor(w, requires_grad=True),
+                          Tensor(np.zeros(cout), requires_grad=True))
 
-    size = config.input_size
-    with no_grad():
-        _FORWARD[config.arch](Tensor(np.zeros((0, 1, size, size))),
-                              config.base_filters, create, {})
-    return Model(config=config, params=params)
-
-
-def build_stan(config: ModelConfig) -> Model:
-    """Dual-branch network; ``config.arch`` must be 'stan'."""
-    if config.arch != "stan":
-        raise ValueError(f"build_stan called with arch {config.arch!r}")
-    return build_model(config)
-
-
-def build_unet(config: ModelConfig) -> Model:
-    """Single-branch baseline; ``config.arch`` must be 'unet'."""
-    if config.arch != "unet":
-        raise ValueError(f"build_unet called with arch {config.arch!r}")
-    return build_model(config)
-
-
-def param_count(model: Model) -> int:
-    """Total number of scalar parameters (weights + biases)."""
-    return sum(p.weights.size + p.bias.size for p in model.params.values())
+    return Model(config=config, params=_assemble(config, create))
 
 
 def named_arrays(model: Model):
@@ -289,8 +275,31 @@ def _read_exact(f, n: int) -> bytes:
     return f.read(n)
 
 
+def _read_array(f, name: str, shape: tuple[int, ...]) -> Tensor:
+    """The next stored array, which must be ``name`` with extents ``shape``."""
+    (name_len,) = struct.unpack("<I", _read_exact(f, 4))
+    stored = _read_exact(f, name_len).decode("utf-8", errors="replace")
+    if stored != name:
+        raise WeightMismatchError(
+            f"unexpected parameter {stored!r}, config implies {name!r} next")
+    (rank,) = struct.unpack("<I", _read_exact(f, 4))
+    extents = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
+    if extents != shape:
+        raise WeightMismatchError(
+            f"{name}: stored shape {extents} does not match config "
+            f"shape {shape}")
+    data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")
+    return Tensor(data.reshape(shape).astype(np.float64), requires_grad=True)
+
+
 def load_weights(path) -> Model:
-    """Rebuild a model from a weight file written by :func:`save_weights`."""
+    """Rebuild a model from a weight file written by :func:`save_weights`.
+
+    Runs the forward pass of the stored config through ``_assemble``;
+    each layer takes the file's next two arrays, ``<layer>.weights`` and
+    then ``<layer>.bias``, so the arrays must come in first-use order
+    with the names and extents the config implies.
+    """
     with open(path, "rb") as f:
         magic = _read_exact(f, 4)
         if magic != _MAGIC:
@@ -306,29 +315,15 @@ def load_weights(path) -> Model:
                                  arch=_TAG_ARCHS[arch_tag], seed=seed)
         except ValueError as exc:
             raise WeightMismatchError(f"stored config invalid: {exc}") from exc
-        model = build_model(config)
-        expected = dict(named_arrays(model))
-        if count != len(expected):
+
+        def read(name, cin, cout, k):
+            return ConvParams(_read_array(f, f"{name}.weights", (cout, cin, k, k)),
+                              _read_array(f, f"{name}.bias", (cout,)))
+
+        params = _assemble(config, read)
+        if count != 2 * len(params):
             raise WeightMismatchError(
-                f"file declares {count} arrays, config implies {len(expected)}")
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-            name = _read_exact(f, name_len).decode("utf-8", errors="replace")
-            if name not in expected:
-                raise WeightMismatchError(f"unexpected parameter {name!r}")
-            (rank,) = struct.unpack("<I", _read_exact(f, 4))
-            extents = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
-            target = expected.pop(name)
-            if extents != target.shape:
-                raise WeightMismatchError(
-                    f"{name}: stored shape {extents} does not match config "
-                    f"shape {target.shape}")
-            n = int(np.prod(extents)) if rank else 1
-            data = np.frombuffer(_read_exact(f, 8 * n), dtype="<f8")
-            target.data = data.reshape(extents).astype(np.float64)
-        if expected:
-            raise WeightMismatchError(
-                f"file is missing parameters: {sorted(expected)[:3]}...")
+                f"file declares {count} arrays, config implies {2 * len(params)}")
         if f.read(1):
             raise WeightMismatchError("trailing bytes after declared arrays")
-    return model
+    return Model(config=config, params=params)

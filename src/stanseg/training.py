@@ -139,13 +139,6 @@ def _translate(arr: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def shift_sample(sample: Sample, dy: int, dx: int) -> Sample:
-    """Translate image and mask by the same integer offsets."""
-    return replace(sample,
-                   image=_translate(sample.image, dy, dx),
-                   mask=_translate(sample.mask, dy, dx))
-
-
 def augment_shift(sample: Sample, shift_fraction: float, rng) -> Sample:
     """Random joint translation with offsets drawn uniformly from
     +-shift_fraction of each dimension."""
@@ -154,7 +147,9 @@ def augment_shift(sample: Sample, shift_fraction: float, rng) -> Sample:
     max_dx = int(shift_fraction * w)
     dy = int(rng.integers(-max_dy, max_dy + 1))
     dx = int(rng.integers(-max_dx, max_dx + 1))
-    return shift_sample(sample, dy, dx)
+    return replace(sample,
+                   image=_translate(sample.image, dy, dx),
+                   mask=_translate(sample.mask, dy, dx))
 
 
 def kfold_split(dataset, k: int = 5, seed: int = 0):

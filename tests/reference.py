@@ -4,13 +4,18 @@ Everything here trades speed for obviousness: plain Python loops and
 elementary formulas, independent of the vectorised code under test.
 Where a test asserts bitwise equality, the reference performs the same
 IEEE-754 operations per element (sums reduced with np.mean/np.max are
-noted explicitly).
+noted explicitly). The last section holds checks that call the library
+itself: finite differences through its autodiff, sizes of a built model,
+and the small/large split.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from stanseg.autodiff import backward, no_grad
+from stanseg.metrics import longest_axis
 
 
 # ---------------------------------------------------------------- layer ops
@@ -398,3 +403,52 @@ def ellipse_mask_ref(h, w, cy, cx, ry, rx, theta):
             v = (-dx * st + dy * ct) / ry
             out[i, j] = u * u + v * v <= 1.0
     return out
+
+
+# ------------------------------------------------- checks through stanseg
+
+def grad_check(f, x, h=1e-5):
+    """Compare the analytic gradient of scalar-valued ``f`` at ``x`` against
+    central finite differences.
+
+    Returns max over elements of |analytic - numeric| / max(1, |analytic|).
+    """
+    prev_flag = x.requires_grad
+    x.requires_grad = True
+    try:
+        out = f(x)
+        backward(out)
+        analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+
+        numeric = np.empty_like(x.data)
+        with no_grad():
+            for idx in np.ndindex(x.data.shape):
+                orig = x.data[idx]
+                x.data[idx] = orig + h
+                fp = float(f(x).data)
+                x.data[idx] = orig - h
+                fm = float(f(x).data)
+                x.data[idx] = orig
+                numeric[idx] = (fp - fm) / (2.0 * h)
+    finally:
+        x.requires_grad = prev_flag
+
+    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
+    return float(rel.max())
+
+
+def param_count(model):
+    """Total number of scalar parameters (weights + biases) of a built model."""
+    return sum(p.weights.size + p.bias.size for p in model.params.values())
+
+
+def wiring(model):
+    """(name, out_channels, in_channels, kernel) per layer of a built model,
+    in creation order; kernel 2 marks a stride-2 transposed convolution."""
+    return tuple((name, p.out_channels, p.in_channels, p.kernel_size)
+                 for name, p in model.params.items())
+
+
+def is_small(mask, threshold=120.0):
+    """Longest axis at most ``threshold`` pixels (inclusive)."""
+    return longest_axis(mask) <= threshold

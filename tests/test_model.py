@@ -1,23 +1,26 @@
 """Model builders: config validation, parameter counts, determinism,
-forward contracts, skip wiring, end-to-end gradients, and the weight file."""
+forward contracts, skip wiring, end-to-end gradients, the weight file, and
+mutated weight and PGM files."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import stanseg.model
 from stanseg.autodiff import ShapeMismatchError, Tensor, backward, no_grad
+from stanseg.data_io import PgmFormatError, read_pgm, write_pgm
 from stanseg.model import (
     Model,
     ModelConfig,
+    WeightFileError,
     WeightMagicError,
     WeightMismatchError,
     WeightTruncatedError,
     WeightVersionError,
     build_model,
-    build_stan,
-    build_unet,
     load_weights,
     named_arrays,
-    param_count,
     save_weights,
 )
 from stanseg.training import dice_loss
@@ -25,9 +28,11 @@ from stanseg.training import dice_loss
 from reference import (
     STAN_LAYER_NAMES,
     UNET_LAYER_NAMES,
+    param_count,
     param_count_ref,
     stan_layer_table,
     unet_layer_table,
+    wiring,
 )
 
 
@@ -80,7 +85,7 @@ class TestParamCounts:
     @pytest.mark.parametrize("arch,f1", sorted(FROZEN))
     def test_wiring_table_matches_reference(self, arch, f1):
         model = build_model(tiny_config(arch=arch, f1=f1))
-        built = sorted((cout, cin, k) for _, cout, cin, k in model.wiring)
+        built = sorted((cout, cin, k) for _, cout, cin, k in wiring(model))
         table = stan_layer_table(f1) if arch == "stan" else unet_layer_table(f1)
         assert built == sorted(table)
 
@@ -90,8 +95,8 @@ class TestParamCounts:
         model = build_model(tiny_config(arch=arch, f1=4))
         names, table = ((STAN_LAYER_NAMES, stan_layer_table(4)) if arch == "stan"
                         else (UNET_LAYER_NAMES, unet_layer_table(4)))
-        assert list(model.wiring) == [(n, *row) for n, row in zip(names, table)]
-        assert len(model.wiring) == len(names) == len(table)
+        assert list(wiring(model)) == [(n, *row) for n, row in zip(names, table)]
+        assert len(wiring(model)) == len(names) == len(table)
 
     def test_unet_smaller_than_stan(self):
         stan = build_model(tiny_config("stan", f1=8))
@@ -122,12 +127,6 @@ class TestBuildDeterminism:
         model = build_model(tiny_config())
         for p in model.params.values():
             np.testing.assert_array_equal(p.bias.data, np.zeros_like(p.bias.data))
-
-    def test_build_helpers_enforce_arch(self):
-        with pytest.raises(ValueError):
-            build_stan(tiny_config("unet"))
-        with pytest.raises(ValueError):
-            build_unet(tiny_config("stan"))
 
 
 class TestForward:
@@ -393,3 +392,74 @@ class TestWeightFile:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(WeightMismatchError):
             load_weights(path)
+
+    def test_swapped_arrays_rejected(self, tmp_path, monkeypatch):
+        # same names, shapes and count as the config implies, but two
+        # adjacent arrays out of first-use order
+        model = build_model(tiny_config())
+        arrays = list(named_arrays(model))
+        arrays[1], arrays[2] = arrays[2], arrays[1]
+        monkeypatch.setattr(stanseg.model, "named_arrays", lambda m: iter(arrays))
+        path = tmp_path / "m.stanw"
+        save_weights(model, path)
+        with pytest.raises(WeightMismatchError, match="unexpected parameter"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("arch", ["stan", "unet"])
+    def test_save_load_save_identical_bytes(self, tmp_path, arch):
+        save_weights(build_model(tiny_config(arch, seed=24)), tmp_path / "a.stanw")
+        save_weights(load_weights(tmp_path / "a.stanw"), tmp_path / "b.stanw")
+        assert (tmp_path / "a.stanw").read_bytes() == (tmp_path / "b.stanw").read_bytes()
+
+    def test_loaded_arrays_are_writable_float64(self, tmp_path):
+        # adam_step updates parameters in place, so a read-only view of the
+        # file's bytes would fail on the first step
+        path = tmp_path / "m.stanw"
+        save_weights(build_model(tiny_config()), path)
+        for name, t in named_arrays(load_weights(path)):
+            assert t.data.flags.writeable, name
+            assert t.data.dtype == np.float64, name
+
+
+@pytest.fixture(scope="module")
+def intact_files(tmp_path_factory):
+    """A 16px/bf4 stan weight file and a 4x4 PGM, as bytes."""
+    root = tmp_path_factory.mktemp("intact")
+    save_weights(build_model(tiny_config(size=16)), root / "w.stanw")
+    write_pgm(root / "i.pgm", np.arange(16, dtype=np.uint8).reshape(4, 4))
+    return root, {"weights": (root / "w.stanw").read_bytes(),
+                  "pgm": (root / "i.pgm").read_bytes()}
+
+
+EDITS = st.tuples(st.sampled_from(["truncate", "overwrite", "insert"]),
+                  st.integers(0, 1 << 21), st.binary(min_size=1, max_size=8))
+
+
+class TestMalformedFiles:
+    @given(kind=st.sampled_from(["weights", "pgm"]),
+           edits=st.lists(EDITS, min_size=1, max_size=3))
+    @example(kind="weights",  # base_filters 2^20 in a 32-byte file
+             edits=[("overwrite", 16, (1 << 20).to_bytes(4, "little")),
+                    ("truncate", 32, b"")])
+    @example(kind="weights",  # input_size 687,865,872
+             edits=[("overwrite", 12, (687865872).to_bytes(4, "little"))])
+    @example(kind="pgm",  # a width beyond int()'s digit limit
+             edits=[("truncate", 3, b""), ("insert", 3, b"9" * 5000 + b" 4\n255\n")])
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_file_loads_or_fails_typed(self, intact_files, kind, edits):
+        root, intact = intact_files
+        blob = intact[kind]
+        for op, at, data in edits:
+            at %= len(blob) + 1
+            if op == "truncate":
+                blob = blob[:at]
+            elif op == "overwrite":
+                blob = blob[:at] + data + blob[at + len(data):]
+            else:
+                blob = blob[:at] + data + blob[at:]
+        path = root / f"mutated.{kind}"
+        path.write_bytes(blob)
+        try:
+            load_weights(path) if kind == "weights" else read_pgm(path)
+        except (WeightFileError, PgmFormatError):
+            pass

@@ -2,13 +2,14 @@
 scalar recurrence, shift augmentation, fold splitting, and loop determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stanseg.autodiff import ShapeMismatchError, Tensor, backward, grad_check
+from stanseg.autodiff import ShapeMismatchError, Tensor, backward
 from stanseg.data_io import Sample, SynthConfig, synth_generate
 from stanseg.model import ModelConfig, build_model, named_arrays
 from stanseg.training import (
@@ -17,6 +18,7 @@ from stanseg.training import (
     TrainConfig,
     TrainHistory,
     TrainingDivergedError,
+    _translate,
     adam_step,
     augment_shift,
     cross_validate,
@@ -24,11 +26,10 @@ from stanseg.training import (
     fold_seed,
     history_to_dict,
     kfold_split,
-    shift_sample,
     train,
 )
 
-from reference import adam_scalar_ref, dice_loss_ref
+from reference import adam_scalar_ref, dice_loss_ref, grad_check
 
 
 def tiny_model(arch="stan", seed=0):
@@ -181,8 +182,13 @@ def blob_sample(size=16):
     mask = np.zeros((size, size), dtype=bool)
     mask[6:9, 5:8] = True
     image = np.where(mask, 0.2, 0.7)
-    return Sample(id="blob", image=image, mask=mask, origin="synthetic",
-                  native_size=(size, size))
+    return Sample(id="blob", image=image, mask=mask, native_size=(size, size))
+
+
+def shift_sample(sample, dy, dx):
+    """Image and mask translated by the same offsets, as augment_shift does."""
+    return replace(sample, image=_translate(sample.image, dy, dx),
+                   mask=_translate(sample.mask, dy, dx))
 
 
 class TestShiftAugmentation:
