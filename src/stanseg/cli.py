@@ -1,9 +1,11 @@
 """Command-line pipeline: generate phantoms, train, predict, evaluate.
 
-Settings resolve in three layers: dataclass defaults, then a flat
-``key = value`` config file given with --config, then explicit flags.
-Every JSON artifact embeds the fully resolved settings so a run can be
-reproduced from its outputs alone. Errors leave exit code 1 and a
+Each command reads only its own settings (``COMMAND_KEYS``) and offers
+only their flags. They resolve in three layers: dataclass defaults, then
+a flat ``key = value`` config file given with --config, then explicit
+flags. A config file may also hold other commands' keys; those are
+parsed but not applied. Every JSON artifact records, as ``settings``,
+the resolved keys its command read. Errors leave exit code 1 and a
 single ``stanseg: error: <Type>: <message>`` line on stderr.
 """
 
@@ -46,42 +48,42 @@ _FLAT_KEYS = {"image_size": "input_size"}  # section field -> flat key
 _EVAL_SETTINGS = {"threshold": (float, 0.5), "small_axis": (float, 120.0)}
 
 
-def _run_fields() -> dict:
-    """Flat key -> (type, default), sections first, then evaluation."""
+def _fields(*sections) -> dict:
+    """Flat key -> (type, default) over ``sections``' fields."""
     fields = {}
-    for section in _SECTIONS:
+    for section in sections:
         hints = typing.get_type_hints(section)
         for f in dataclasses.fields(section):
             fields.setdefault(_FLAT_KEYS.get(f.name, f.name),
                               (hints[f.name], f.default))
-    return {**fields, **_EVAL_SETTINGS}
+    return fields
 
 
-def _validate(run) -> None:
-    for f in dataclasses.fields(run):
-        value = getattr(run, f.name)
+_FIELDS = {**_fields(*_SECTIONS), **_EVAL_SETTINGS}
+_TRAIN_KEYS = tuple(_fields(ModelConfig, TrainConfig))
+# The keys each command reads: only these are applied and recorded.
+COMMAND_KEYS = {"synth": tuple(_fields(SynthConfig)), "train": _TRAIN_KEYS,
+                "predict": ("threshold",), "eval": tuple(_EVAL_SETTINGS),
+                "crossval": _TRAIN_KEYS + tuple(_EVAL_SETTINGS)}
+
+
+def _validate(settings: dict) -> None:
+    for key, value in settings.items():
         numbers = value if isinstance(value, tuple) else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
-    if not 0.0 < run.threshold <= 1.0:
-        raise ConfigError(f"threshold must be in (0, 1], got {run.threshold}")
-    if run.small_axis <= 0:
-        raise ConfigError(f"small_axis must be positive, got {run.small_axis}")
+            raise ConfigError(f"{key} must be finite, got {value}")
+    if "threshold" in settings and not 0.0 < settings["threshold"] <= 1.0:
+        raise ConfigError(
+            f"threshold must be in (0, 1], got {settings['threshold']}")
+    if "small_axis" in settings and settings["small_axis"] <= 0:
+        raise ConfigError(
+            f"small_axis must be positive, got {settings['small_axis']}")
 
 
-RunConfig = dataclasses.make_dataclass(
-    "RunConfig", [(key, tp, dataclasses.field(default=default))
-                  for key, (tp, default) in _run_fields().items()],
-    frozen=True, namespace={
-        "__module__": __name__, "__post_init__": _validate,
-        "__doc__": "Flat union of model, training, synthesis, and "
-                   "evaluation settings."})
-
-
-def project(run, section):
+def project(settings: dict, section):
     """The ``section`` config (ModelConfig, TrainConfig or SynthConfig)
-    holding ``run``'s values for its fields."""
-    return section(**{f.name: getattr(run, _FLAT_KEYS.get(f.name, f.name))
+    holding ``settings``' values for its fields."""
+    return section(**{f.name: settings[_FLAT_KEYS.get(f.name, f.name)]
                       for f in dataclasses.fields(section)})
 
 
@@ -105,8 +107,8 @@ def _arch_name(text: str) -> str:
 
 _TYPE_PARSERS = {int: int, float: float, tuple[float, float]: _float_pair,
                  tuple[float, ...] | None: _float_list}
-_KEY_PARSERS = {f.name: _arch_name if f.name == "arch" else _TYPE_PARSERS[f.type]
-                for f in dataclasses.fields(RunConfig)}
+_KEY_PARSERS = {key: _arch_name if key == "arch" else _TYPE_PARSERS[tp]
+                for key, (tp, _) in _FIELDS.items()}
 
 
 def parse_config_text(text: str, source: str = "config") -> dict:
@@ -130,17 +132,21 @@ def parse_config_text(text: str, source: str = "config") -> dict:
     return overrides
 
 
-def resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the --config file, then explicit flags."""
-    values: dict = {}
-    if getattr(args, "config", None) is not None:
+def resolve_settings(args: argparse.Namespace) -> dict:
+    """The keys ``args.command`` reads: defaults, then the --config file,
+    then explicit flags. File keys of other commands are parsed but not
+    applied."""
+    settings = {key: _FIELDS[key][1] for key in COMMAND_KEYS[args.command]}
+    if args.config is not None:
         path = Path(args.config)
-        values.update(parse_config_text(path.read_text(), source=str(path)))
-    for f in dataclasses.fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
+        parsed = parse_config_text(path.read_text(), source=str(path))
+        settings.update((k, v) for k, v in parsed.items() if k in settings)
+    for key in settings:
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
-            values[f.name] = flag_value
-    return RunConfig(**values)
+            settings[key] = flag_value
+    _validate(settings)
+    return settings
 
 
 # ---------------------------------------------------------------- commands
@@ -168,37 +174,38 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_synth(run: RunConfig, args: argparse.Namespace) -> None:
+def cmd_synth(settings: dict, args: argparse.Namespace) -> None:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    samples = synth_generate(project(run, SynthConfig))
+    samples = synth_generate(project(settings, SynthConfig))
     for s in samples:
         save_image(s.image, out / f"{s.id}.pgm")
         save_mask(s.mask, out / f"{s.id}_mask.pgm")
     _write_json(out / "dataset.json", {
         "command": "synth",
         "samples": [s.id for s in samples],
-        "run_config": dataclasses.asdict(run),
+        "settings": settings,
     })
     print(f"wrote {len(samples)} image/mask pairs to {out}")
 
 
-def cmd_train(run: RunConfig, args: argparse.Namespace) -> None:
-    samples = dataset_manifest(args.data_dir, target_size=run.input_size)
-    model = build_model(project(run, ModelConfig))
-    model, history = train(model, samples, project(run, TrainConfig))
+def cmd_train(settings: dict, args: argparse.Namespace) -> None:
+    samples = dataset_manifest(args.data_dir,
+                               target_size=settings["input_size"])
+    model = build_model(project(settings, ModelConfig))
+    model, history = train(model, samples, project(settings, TrainConfig))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_weights(model, out / "weights.bin")
     payload = history_to_dict(history)
-    payload.update({"command": "train", "run_config": dataclasses.asdict(run)})
+    payload.update({"command": "train", "settings": settings})
     _write_json(out / "history.json", payload)
     last = history.epoch_losses[-1] if history.epoch_losses else float("nan")
-    print(f"trained {run.arch} for {run.epochs} epochs on {len(samples)} "
-          f"samples, final loss {last:.4f}; weights in {out}")
+    print(f"trained {settings['arch']} for {settings['epochs']} epochs on "
+          f"{len(samples)} samples, final loss {last:.4f}; weights in {out}")
 
 
-def cmd_predict(run: RunConfig, args: argparse.Namespace) -> None:
+def cmd_predict(settings: dict, args: argparse.Namespace) -> None:
     model = load_weights(args.weights)
     size = model.config.input_size
     image = read_pgm(args.image) / 255.0
@@ -206,14 +213,14 @@ def cmd_predict(run: RunConfig, args: argparse.Namespace) -> None:
     net_in = image if native == (size, size) else bilinear_resize(image, size, size)
     with no_grad():
         out = model.forward(Tensor(net_in[None, None, :, :]))
-    mask = binarize(out.data[0, 0], run.threshold)
+    mask = binarize(out.data[0, 0], settings["threshold"])
     if native != (size, size):
         mask = nearest_resize(mask, *native)
     out_path = Path(args.out_mask)
     save_mask(mask, out_path)
     _write_json(out_path.with_suffix(out_path.suffix + ".json"), {
         "command": "predict",
-        "run_config": dataclasses.asdict(run),
+        "settings": settings,
         "weights": {"arch": model.config.arch, "input_size": size,
                     "base_filters": model.config.base_filters,
                     "seed": model.config.seed},
@@ -222,14 +229,13 @@ def cmd_predict(run: RunConfig, args: argparse.Namespace) -> None:
     print(f"wrote mask with {int(mask.sum())} foreground pixels to {out_path}")
 
 
-def cmd_eval(run: RunConfig, args: argparse.Namespace) -> None:
+def cmd_eval(settings: dict, args: argparse.Namespace) -> None:
     model = load_weights(args.weights)
     samples = dataset_manifest(args.data_dir,
                                target_size=model.config.input_size)
-    report = evaluate(model, samples, threshold=run.threshold,
-                      small_axis=run.small_axis,
-                      provenance={"command": "eval",
-                                  "run_config": dataclasses.asdict(run)})
+    report = evaluate(model, samples, threshold=settings["threshold"],
+                      small_axis=settings["small_axis"],
+                      provenance={"command": "eval", "settings": settings})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report_to_json(report) + "\n")
@@ -237,16 +243,18 @@ def cmd_eval(run: RunConfig, args: argparse.Namespace) -> None:
     print(format_table(report.aggregates))
 
 
-def cmd_crossval(run: RunConfig, args: argparse.Namespace) -> None:
-    samples = dataset_manifest(args.data_dir, target_size=run.input_size)
+def cmd_crossval(settings: dict, args: argparse.Namespace) -> None:
+    samples = dataset_manifest(args.data_dir,
+                               target_size=settings["input_size"])
     fold_reports, overall, histories = cross_validate(
-        project(run, ModelConfig), samples, project(run, TrainConfig),
-        threshold=run.threshold, small_axis=run.small_axis)
+        project(settings, ModelConfig), samples,
+        project(settings, TrainConfig), threshold=settings["threshold"],
+        small_axis=settings["small_axis"])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "crossval.json", {
         "command": "crossval",
-        "run_config": dataclasses.asdict(run),
+        "settings": settings,
         "overall": {"aggregates": overall.aggregates,
                     "excluded": overall.excluded,
                     "provenance": overall.provenance},
@@ -261,67 +269,49 @@ def cmd_crossval(run: RunConfig, args: argparse.Namespace) -> None:
 
 # ------------------------------------------------------------------ parser
 
-_COMMON_FLAGS = (("--seed", "seed"), ("--arch", "arch"),
-                 ("--input-size", "input_size"), ("--base-filters", "base_filters"),
-                 ("--epochs", "epochs"), ("--batch-size", "batch_size"),
-                 ("--lr", "learning_rate"), ("--threshold", "threshold"),
-                 ("--small-axis", "small_axis"))
+# Each setting that has a flag; a command offers the flags of its keys.
+_FLAGS = {"seed": "--seed", "arch": "--arch", "input_size": "--input-size",
+          "base_filters": "--base-filters", "epochs": "--epochs",
+          "batch_size": "--batch-size", "learning_rate": "--lr",
+          "threshold": "--threshold", "small_axis": "--small-axis",
+          "count": "--count", "axis_list": "--axis-list"}
+
+_COMMANDS = {  # name -> (handler, positional arguments, help)
+    "synth": (cmd_synth, ("out_dir",), "generate a synthetic phantom dataset"),
+    "train": (cmd_train, ("data_dir", "out_dir"),
+              "train a model on an image/mask directory"),
+    "predict": (cmd_predict, ("weights", "image", "out_mask"),
+                "segment one image with trained weights"),
+    "eval": (cmd_eval, ("weights", "data_dir", "out_dir"),
+             "score trained weights against ground truth"),
+    "crossval": (cmd_crossval, ("data_dir", "out_dir"),
+                 "k-fold cross-validation on one directory"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value settings file")
-    for flag, key in _COMMON_FLAGS:
-        common.add_argument(flag, type=_KEY_PARSERS[key], dest=key)
-
     parser = argparse.ArgumentParser(
         prog="stanseg",
         description="Train and evaluate tumor segmentation networks on "
                     "grayscale PGM images.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic phantom dataset")
-    p.add_argument("out_dir")
-    p.add_argument("--count", type=_KEY_PARSERS["count"])
-    p.add_argument("--axis-list", type=_KEY_PARSERS["axis_list"],
-                   help="comma-separated lesion axis lengths, cycled")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", parents=[common],
-                       help="train a model on an image/mask directory")
-    p.add_argument("data_dir")
-    p.add_argument("out_dir")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", parents=[common],
-                       help="segment one image with trained weights")
-    p.add_argument("weights")
-    p.add_argument("image")
-    p.add_argument("out_mask")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="score trained weights against ground truth")
-    p.add_argument("weights")
-    p.add_argument("data_dir")
-    p.add_argument("out_dir")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("crossval", parents=[common],
-                       help="k-fold cross-validation on one directory")
-    p.add_argument("data_dir")
-    p.add_argument("out_dir")
-    p.set_defaults(func=cmd_crossval)
-
+    for name, (func, positionals, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.add_argument("--config", help="flat key = value settings file")
+        for key, flag in _FLAGS.items():
+            if key in COMMAND_KEYS[name]:
+                p.add_argument(flag, type=_KEY_PARSERS[key], dest=key,
+                               help=f"sets {key}")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        run = resolve_run_config(args)
-        args.func(run, args)
+        args.func(resolve_settings(args), args)
     except Exception as exc:
         message = " ".join(str(exc).split()) or exc.__class__.__name__
         print(f"stanseg: error: {exc.__class__.__name__}: {message}",

@@ -62,7 +62,12 @@ class Sample:
 
 # ------------------------------------------------------------------- pgm io
 
-def _read_header_token(f, path) -> bytes:
+# Longer than any width, height or maxval a readable file can declare;
+# bounds the work spent on a header token.
+_MAX_HEADER_TOKEN = 32
+
+
+def _read_header_token(f, path, name) -> bytes:
     tok = b""
     while True:
         c = f.read(1)
@@ -76,6 +81,9 @@ def _read_header_token(f, path) -> bytes:
             if tok:
                 return tok
             continue
+        if len(tok) == _MAX_HEADER_TOKEN:
+            raise PgmFormatError(
+                f"{path}: {name} is longer than {_MAX_HEADER_TOKEN} bytes")
         tok += c
 
 
@@ -87,13 +95,10 @@ def read_pgm(path) -> np.ndarray:
             raise PgmFormatError(f"{path}: bad magic, expected P5")
         fields = []
         for name in ("width", "height", "maxval"):
-            tok = _read_header_token(f, path)
+            tok = _read_header_token(f, path, name)
             if not tok.isdigit():
                 raise PgmFormatError(f"{path}: non-numeric {name} {tok!r}")
-            try:
-                fields.append(int(tok))
-            except ValueError:  # more digits than int() converts
-                raise PgmFormatError(f"{path}: {name} has {len(tok)} digits") from None
+            fields.append(int(tok))
         width, height, maxval = fields
         if width <= 0 or height <= 0:
             raise PgmFormatError(f"{path}: non-positive dimensions {width}x{height}")

@@ -296,10 +296,10 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
         run = root / "run"
         rep = root / "rep"
         assert main(["synth", "--count", "3", "--axis-list", "6,8",
-                     *base, str(data)]) == 0
+                     "--input-size", "16", "--seed", "21", str(data)]) == 0
         assert main(["train", "--epochs", "2", "--batch-size", "2",
                      *base, str(data), str(run)]) == 0
-        assert main(["eval", *base, str(run / "weights.bin"), str(data),
+        assert main(["eval", str(run / "weights.bin"), str(data),
                      str(rep)]) == 0
         return {
             "weights": (run / "weights.bin").read_bytes(),

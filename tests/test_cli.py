@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from stanseg.cli import (
+    COMMAND_KEYS,
     ConfigError,
-    RunConfig,
     _build_parser,
     format_table,
     main,
     parse_config_text,
     project,
-    resolve_run_config,
+    resolve_settings,
 )
 from stanseg.data_io import SynthConfig, read_pgm
 from stanseg.model import ModelConfig, build_model, save_weights
@@ -24,12 +24,23 @@ from stanseg.training import TrainConfig
 
 TINY = ["--input-size", "16", "--base-filters", "4", "--epochs", "2",
         "--batch-size", "2", "--seed", "11"]
+SYNTH_TINY = ["--input-size", "16", "--seed", "11"]
 # lesion diameters that fit the tiny frames above
 AXES = ["--axis-list", "6,8"]
 
 
 def read_tree(root):
     return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+
+
+# each command with placeholder positional arguments
+BARE_ARGV = {"synth": ["synth", "o"], "train": ["train", "d", "o"],
+             "predict": ["predict", "w", "i", "o"],
+             "eval": ["eval", "w", "d", "o"], "crossval": ["crossval", "d", "o"]}
+
+
+def resolved(argv):
+    return resolve_settings(_build_parser().parse_args(argv))
 
 
 class TestConfigParsing:
@@ -57,11 +68,12 @@ class TestConfigParsing:
             "noise_sigma = 0.05",
             "rotation_range = 0, 1.5",
         ])
-        run = RunConfig(**parse_config_text(text))
-        assert run.arch == "unet"
-        assert run.axis_range == (4.0, 9.0)
-        assert run.axis_list == (8.0, 12.0)
-        assert run.folds == 4
+        settings = parse_config_text(text)
+        assert len(settings) == 21
+        assert settings["arch"] == "unet"
+        assert settings["axis_range"] == (4.0, 9.0)
+        assert settings["axis_list"] == (8.0, 12.0)
+        assert settings["folds"] == 4
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\nepochs = 7   # tail comment\n"
@@ -106,26 +118,28 @@ class TestKeyTable:
         return "input_size" if name == "image_size" else name
 
     def test_key_set_is_sections_plus_evaluation(self):
-        keys = {f.name for f in dataclasses.fields(RunConfig)}
+        keys = set().union(*COMMAND_KEYS.values())
         derived = {self.flat_key(f.name) for section in self.SECTIONS
                    for f in dataclasses.fields(section)}
         assert keys == derived | {"threshold", "small_axis"}
         assert keys == set(self.CHANGED)
 
     def test_every_key_reaches_its_section(self):
-        run = RunConfig(**self.CHANGED)
-        defaults = RunConfig()
+        defaults = {}
+        for argv in BARE_ARGV.values():
+            defaults.update(resolved(argv))
         for key, value in self.CHANGED.items():
-            assert getattr(defaults, key) != value, key
+            assert defaults[key] != value, key
         for section in self.SECTIONS:
-            cfg = project(run, section)
+            cfg = project(self.CHANGED, section)
             for f in dataclasses.fields(section):
                 assert getattr(cfg, f.name) == self.CHANGED[self.flat_key(f.name)], \
                     (section.__name__, f.name)
 
     def test_default_run_projects_to_section_defaults(self):
         for section in self.SECTIONS:
-            got = project(RunConfig(), section)
+            command = "synth" if section is SynthConfig else "train"
+            got = project(resolved(BARE_ARGV[command]), section)
             if section is SynthConfig:
                 # the flat input_size default is the model's 256, not
                 # the generator's own 64
@@ -136,29 +150,38 @@ class TestKeyTable:
 
 class TestResolution:
     def test_defaults(self):
-        args = _build_parser().parse_args(["train", "d", "o"])
-        run = resolve_run_config(args)
-        assert run == RunConfig()
-        assert run.threshold == 0.5 and run.small_axis == 120.0
+        assert resolved(["train", "d", "o"]) == {
+            **dataclasses.asdict(ModelConfig()),
+            **dataclasses.asdict(TrainConfig())}
+        assert resolved(["eval", "w", "d", "o"]) == {
+            "threshold": 0.5, "small_axis": 120.0}
 
     def test_flag_beats_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 3\nbase_filters = 8\n")
         args = _build_parser().parse_args(
             ["train", "d", "o", "--config", str(cfg), "--epochs", "5"])
-        run = resolve_run_config(args)
-        assert run.epochs == 5          # flag wins
-        assert run.base_filters == 8    # file beats default
+        settings = resolve_settings(args)
+        assert settings["epochs"] == 5          # flag wins
+        assert settings["base_filters"] == 8    # file beats default
 
     def test_lr_flag_maps_to_learning_rate(self):
         args = _build_parser().parse_args(["train", "d", "o", "--lr", "0.01"])
-        assert resolve_run_config(args).learning_rate == 0.01
+        assert resolve_settings(args)["learning_rate"] == 0.01
 
     def test_invalid_threshold_rejected(self):
         args = _build_parser().parse_args(["eval", "w", "d", "o",
                                            "--threshold", "0"])
         with pytest.raises(ConfigError):
-            resolve_run_config(args)
+            resolve_settings(args)
+
+    def test_threshold_one_accepted(self):
+        assert resolved(["eval", "w", "d", "o", "--threshold", "1"]) == {
+            "threshold": 1.0, "small_axis": 120.0}
+
+    def test_zero_small_axis_rejected(self):
+        with pytest.raises(ConfigError, match="small_axis"):
+            resolved(["eval", "w", "d", "o", "--small-axis", "0"])
 
 
 class TestSynthCommand:
@@ -183,8 +206,8 @@ class TestSynthCommand:
                          "synth001.pgm", "synth001_mask.pgm"]
         meta = json.loads((out / "dataset.json").read_text())
         assert meta["command"] == "synth"
-        assert meta["run_config"]["seed"] == 3
-        assert meta["run_config"]["input_size"] == 24
+        assert meta["settings"]["seed"] == 3
+        assert meta["settings"]["input_size"] == 24
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +216,7 @@ def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipe")
     data = root / "data"
     run = root / "run"
-    assert main(["synth", "--count", "4", *TINY, *AXES, str(data)]) == 0
+    assert main(["synth", "--count", "4", *SYNTH_TINY, *AXES, str(data)]) == 0
     assert main(["train", *TINY, str(data), str(run)]) == 0
     return data, run
 
@@ -204,7 +227,7 @@ class TestTrainCommand:
         assert (run / "weights.bin").exists()
         history = json.loads((run / "history.json").read_text())
         assert history["command"] == "train"
-        assert history["run_config"]["seed"] == 11
+        assert history["settings"]["seed"] == 11
         assert len(history["epoch_losses"]) == 2
         assert all(np.isfinite(v) for v in history["epoch_losses"])
 
@@ -239,15 +262,14 @@ class TestEvalCommand:
     def test_reports_and_table(self, pipeline, tmp_path, capsys):
         data, run = pipeline
         out = tmp_path / "report"
-        rc = main(["eval", *TINY, str(run / "weights.bin"), str(data),
-                   str(out)])
+        rc = main(["eval", str(run / "weights.bin"), str(data), str(out)])
         assert rc == 0
         table = capsys.readouterr().out
         for column in ("TPR", "FPR", "JI", "DSC", "AER", "AHE", "AME"):
             assert column in table.splitlines()[0]
         assert table.splitlines()[1].startswith("all")
         payload = json.loads((out / "report.json").read_text())
-        assert payload["provenance"]["run_config"]["seed"] == 11
+        assert payload["provenance"]["model_seed"] == 11
         assert payload["aggregates"]["all"]["n"] == 4
         csv_text = (out / "report.csv").read_text()
         assert csv_text.splitlines()[0] == \
@@ -256,17 +278,15 @@ class TestEvalCommand:
 
     def test_eval_is_deterministic(self, pipeline, tmp_path):
         data, run = pipeline
-        main(["eval", *TINY, str(run / "weights.bin"), str(data),
-              str(tmp_path / "r1")])
-        main(["eval", *TINY, str(run / "weights.bin"), str(data),
-              str(tmp_path / "r2")])
+        main(["eval", str(run / "weights.bin"), str(data), str(tmp_path / "r1")])
+        main(["eval", str(run / "weights.bin"), str(data), str(tmp_path / "r2")])
         assert read_tree(tmp_path / "r1") == read_tree(tmp_path / "r2")
 
 
 class TestCrossvalCommand:
     def test_five_folds_cover_every_sample(self, tmp_path, capsys):
         data = tmp_path / "data"
-        main(["synth", "--count", "5", *TINY, *AXES, str(data)])
+        main(["synth", "--count", "5", *SYNTH_TINY, *AXES, str(data)])
         out = tmp_path / "cv"
         rc = main(["crossval", *TINY, "--epochs", "1", str(data), str(out)])
         assert rc == 0
@@ -277,6 +297,66 @@ class TestCrossvalCommand:
                      for row in fold["rows"])
         assert ids == [f"synth{i:03d}" for i in range(5)]
         assert "all" in capsys.readouterr().out
+
+
+class TestCommandSettings:
+    """Each command applies and records only the keys it reads, and
+    offers only their flags."""
+
+    # all 21 keys, sized for a tiny pipeline
+    SHARED_CONFIG = "\n".join([
+        "arch = unet", "input_size = 16", "base_filters = 4", "seed = 11",
+        "epochs = 1", "batch_size = 2", "learning_rate = 0.001",
+        "beta1 = 0.8", "beta2 = 0.95", "eps = 1e-7", "shift_fraction = 0.2",
+        "folds = 2", "threshold = 0.6", "small_axis = 7", "count = 4",
+        "axis_range = 3, 5", "axis_list = 6, 8", "lesion_intensity = 0.2",
+        "background_intensity = 0.8", "noise_sigma = 0.05",
+        "rotation_range = 0, 1.5"]) + "\n"
+
+    @staticmethod
+    def flat_keys(*sections):
+        return {"input_size" if f.name == "image_size" else f.name
+                for section in sections for f in dataclasses.fields(section)}
+
+    def test_one_config_file_drives_every_command(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.SHARED_CONFIG)
+        values = json.loads(json.dumps(parse_config_text(self.SHARED_CONFIG)))
+        assert len(values) == 21
+        data, run, rep, cv = (tmp_path / n for n in ("data", "run", "rep", "cv"))
+        mask = tmp_path / "pred.pgm"
+        weights = str(run / "weights.bin")
+        for argv in (["synth", str(data)], ["train", str(data), str(run)],
+                     ["predict", weights, str(data / "synth000.pgm"), str(mask)],
+                     ["eval", weights, str(data), str(rep)],
+                     ["crossval", str(data), str(cv)]):
+            assert main([*argv, "--config", str(cfg)]) == 0, argv[0]
+        train_keys = self.flat_keys(ModelConfig, TrainConfig)
+        evaluation = {"threshold", "small_axis"}
+        recorded = {
+            "synth": (json.loads((data / "dataset.json").read_text())["settings"],
+                      self.flat_keys(SynthConfig)),
+            "train": (json.loads((run / "history.json").read_text())["settings"],
+                      train_keys),
+            "predict": (json.loads((tmp_path / "pred.pgm.json").read_text())
+                        ["settings"], {"threshold"}),
+            "eval": (json.loads((rep / "report.json").read_text())
+                     ["provenance"]["settings"], evaluation),
+            "crossval": (json.loads((cv / "crossval.json").read_text())
+                         ["settings"], train_keys | evaluation),
+        }
+        for command, (settings, keys) in recorded.items():
+            assert set(settings) == keys == set(COMMAND_KEYS[command]), command
+            assert settings == {k: values[k] for k in keys}, command
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--arch", "unet", "w", "d", "o"],
+        ["predict", "--input-size", "128", "w", "i", "o"],
+    ], ids=["eval-arch", "predict-input-size"])
+    def test_flag_of_another_command_exits_two(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 class TestFormatTable:
@@ -370,7 +450,7 @@ class TestErrorContract:
 
     def test_diverged_training_is_reported(self, tmp_path, capsys):
         data = tmp_path / "data"
-        main(["synth", "--count", "2", *TINY, *AXES, str(data)])
+        main(["synth", "--count", "2", *SYNTH_TINY, *AXES, str(data)])
         # the loss itself is bounded, so divergence means the weights
         # overflowed; a huge step rate forces that on the second step
         line = self.check_error(

@@ -1,5 +1,7 @@
 """PGM io, resizing, dataset pairing, and the synthetic phantom generator."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,14 @@ class TestPgmIo:
         path.write_bytes(blob)
         with pytest.raises(PgmFormatError, match="width"):
             read_pgm(path)
+
+    def test_long_token_rejected_in_bounded_time(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n" + b"9" * 2**20 + b" 4\n255\n")
+        start = time.perf_counter()
+        with pytest.raises(PgmFormatError, match="width"):
+            read_pgm(path)
+        assert time.perf_counter() - start < 1.0
 
     def test_zero_dimension(self, tmp_path):
         path = tmp_path / "zero.pgm"

@@ -28,6 +28,7 @@ from stanseg.metrics import (
     report_to_csv,
     report_to_json,
 )
+from stanseg.model import ModelConfig, build_model
 
 from reference import (
     PUBLISHED_ROWS,
@@ -405,6 +406,15 @@ class TestEvaluate:
         assert report.aggregates["small"]["n"] == 1
         assert report.aggregates["large"]["n"] == 1
         assert report.rows[0].is_small and not report.rows[1].is_small
+
+    def test_axis_equal_to_small_axis_counts_small(self):
+        line = np.zeros((16, 16), dtype=bool)
+        line[8, 2:13] = True  # 11 pixels: axis 10
+        model = build_model(ModelConfig(input_size=16, base_filters=4))
+        report = evaluate(model, [mask_sample(line, "edge")], small_axis=10.0)
+        assert report.rows[0].longest_axis == 10.0
+        assert report.rows[0].is_small
+        assert report.aggregates["small"]["n"] == 1
 
     def test_empty_ground_truth_excluded(self):
         good = np.zeros((16, 16), dtype=bool)
