@@ -6,16 +6,22 @@ transposed convolution, channel concatenation, relu/sigmoid, and the
 elementwise arithmetic + global sum used by the dice loss. Tensors are
 value-semantic; a computation graph is recorded only while gradients
 are enabled and is consumed by a single backward pass.
+
+A convolution is one GEMM of the (Cout, Cin*k*k) weights with a column
+matrix holding one plane of the padded input per kernel tap, built in
+chunks of whole images, or of rows of one image, under a fixed element
+cap. The weight gradient is the output gradient times the same matrix;
+the input gradient is that kernel with flipped, channel-swapped weights.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatchError(ValueError):
@@ -27,6 +33,7 @@ class GraphConsumedError(RuntimeError):
 
 
 _grad_enabled = True
+_CHUNK_ELEMENTS = 1 << 22  # float64 elements of one column-matrix chunk (32 MB)
 
 
 @contextlib.contextmanager
@@ -98,12 +105,6 @@ class Tensor:
                        lambda g: (g, g))
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_tensor(other)
-        _check_same_shape("sub", self, other)
-        return _result(self.data - other.data, "sub", (self, other),
-                       lambda g: (g, -g))
 
     def __rsub__(self, other):
         other = _as_tensor(other)
@@ -196,18 +197,30 @@ def _check_input_4d(op: str, x: Tensor) -> None:
         raise ShapeMismatchError(f"{op}: input must be 4-D (B, C, H, W), got {x.shape}")
 
 
-def _windows(a: np.ndarray, k: int) -> np.ndarray:
-    """(B, C, H, W, k, k) view of the k x k windows of same-padded ``a``."""
-    pad = (k - 1) // 2
-    ap = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    return sliding_window_view(ap, (k, k), axis=(2, 3))
+def _columns(a: np.ndarray, k: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Yield (images, rows, cols): ``cols`` is the (C*k*k, n) column matrix of
+    the outputs ``[images, :, rows]`` of a same-padded k x k correlation of
+    ``a`` (B, C, H, W), a view of one buffer valid until the next yield."""
+    bs, c, h, w = a.shape
+    ap = np.pad(a, ((0, 0), (0, 0), (k // 2, k // 2), (k // 2, k // 2)))
+    rows = max(1, min(h, _CHUNK_ELEMENTS // max(1, c * k * k * w)))
+    imgs = max(1, _CHUNK_ELEMENTS // max(1, c * k * k * h * w))  # 1 unless rows == h
+    buf = np.empty(c * k * k * min(imgs, bs) * rows * w)
+    for b0, r0 in itertools.product(range(0, bs, imgs), range(0, h, rows)):
+        b1, r1 = min(b0 + imgs, bs), min(r0 + rows, h)
+        cols = buf[:c * k * k * (b1 - b0) * (r1 - r0) * w].reshape(c, k, k, b1 - b0, r1 - r0, w)
+        for di, dj in np.ndindex(k, k):  # one plane copy per tap
+            cols[:, di, dj] = ap[b0:b1, :, r0 + di:r1 + di, dj:dj + w].transpose(1, 0, 2, 3)
+        yield slice(b0, b1), slice(r0, r1), cols.reshape(c * k * k, (b1 - b0) * (r1 - r0) * w)
 
 
 def _correlate(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Same-padded cross-correlation of ``a`` (B, Cin, H, W) with ``w``
-    (Cout, Cin, k, k), giving (B, Cout, H, W)."""
-    out = np.tensordot(_windows(a, w.shape[2]), w, axes=((1, 4, 5), (1, 2, 3)))
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    """Same-padded (B, Cin, H, W) ``a`` correlated with (Cout, Cin, k, k) ``w``."""
+    out = np.empty((len(a), len(w)) + a.shape[2:])
+    for images, rows, cols in _columns(a, w.shape[2]):
+        o = out[images, :, rows].transpose(1, 0, 2, 3)  # view
+        o[...] = (w.reshape(len(w), len(cols)) @ cols).reshape(o.shape)
+    return out
 
 
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
@@ -221,7 +234,8 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         raise ShapeMismatchError(
             f"conv2d: input channel axis 1 has {x.shape[1]} channels, "
             f"kernel expects {params.in_channels}")
-    out = _correlate(x.data, w.data) + bias.data[None, :, None, None]
+    out = _correlate(x.data, w.data)
+    out += bias.data[None, :, None, None]
 
     need_x, need_w, need_b = _needs_grad(x), _needs_grad(w), _needs_grad(bias)
 
@@ -229,13 +243,14 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         gx = gw = gb = None
         if need_b:
             gb = g.sum(axis=(0, 2, 3))
-        if need_w:
-            gw = np.tensordot(_windows(x.data, k), g,
-                              axes=((0, 2, 3), (0, 2, 3)))  # (Cin, k, k, Cout)
-            gw = np.ascontiguousarray(gw.transpose(3, 0, 1, 2))
         if need_x:
             # correlate g with the flipped kernel, input/output channels swapped
             gx = _correlate(g, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        if need_w:  # last, as the loop's cols keeps its buffer alive until return
+            gw = np.zeros((params.out_channels, params.in_channels * k * k))
+            for images, rows, cols in _columns(x.data, k):  # summed in chunk order
+                gw += g[images, :, rows].transpose(1, 0, 2, 3).reshape(len(gw), -1) @ cols.T
+            gw = gw.reshape(w.shape)
         return gx, gw, gb
 
     return _result(out, "conv2d", (x, w, bias), backward_fn)
@@ -294,7 +309,7 @@ def maxpool2d(x: Tensor) -> Tensor:
         raise ShapeMismatchError(f"maxpool2d: spatial extents ({h}, {w}) must be even")
     hh, wh = h // 2, w // 2
     win = x.data.reshape(b, c, hh, 2, wh, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, hh, wh, 4)
-    idx = win.argmax(axis=4)
+    idx = win.argmax(axis=4).astype(np.uint8)  # 0..3
     out = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
 
     def backward_fn(g: np.ndarray):
@@ -333,32 +348,16 @@ def concat_channels(*tensors: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); the subgradient at 0 is taken as 0."""
-    mask = x.data > 0
-
-    def backward_fn(g: np.ndarray):
-        return (g * mask,)
-
-    return _result(np.where(mask, x.data, 0.0), "relu", (x,), backward_fn)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # split by sign to avoid overflow in exp
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    out = np.where(x.data > 0, x.data, 0.0)
+    # out > 0 equals x > 0 elementwise, NaN included, so no mask is kept
+    return _result(out, "relu", (x,), lambda g: (g * (out > 0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Elementwise logistic function 1 / (1 + exp(-x))."""
-    s = _sigmoid(np.atleast_1d(x.data)).reshape(x.data.shape)
-
-    def backward_fn(g: np.ndarray):
-        return (g * s * (1.0 - s),)
-
-    return _result(s, "sigmoid", (x,), backward_fn)
+    e = np.exp(np.minimum(x.data, -x.data))  # exp(-|x|) never overflows
+    s = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return _result(s, "sigmoid", (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def backward(loss: Tensor) -> None:

@@ -211,6 +211,7 @@ def train(model: Model, dataset: list[Sample], cfg: TrainConfig):
                     f"non-finite loss {value} at epoch {epoch}, step {step}")
             backward(loss)
             adam_step(model, state, cfg)
+            del loss  # its graph would otherwise live through the next forward pass
             step_losses.append(value)
         history.epoch_losses.append(float(np.mean(step_losses)))
         history.epoch_seconds.append(time.perf_counter() - started)

@@ -42,6 +42,31 @@ def conv2d_ref(x, w, b):
     return out
 
 
+def conv2d_grads_ref(x, w, g):
+    """Gradients (x, w, bias) of sum(g * conv2d(x, w, b)), accumulated
+    term by term over the same loops as conv2d_ref."""
+    bs, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    pad = (k - 1) // 2
+    gx = np.zeros(x.shape)
+    gw = np.zeros(w.shape)
+    gb = np.zeros(cout)
+    for n in range(bs):
+        for co in range(cout):
+            for i in range(h):
+                for j in range(wd):
+                    gb[co] += g[n, co, i, j]
+                    for ci in range(cin):
+                        for di in range(k):
+                            for dj in range(k):
+                                ii = i + di - pad
+                                jj = j + dj - pad
+                                if 0 <= ii < h and 0 <= jj < wd:
+                                    gx[n, ci, ii, jj] += g[n, co, i, j] * w[co, ci, di, dj]
+                                    gw[co, ci, di, dj] += g[n, co, i, j] * x[n, ci, ii, jj]
+    return gx, gw, gb
+
+
 def deconv2d_ref(x, w, b):
     """Transposed convolution, kernel 2 stride 2, by explicit scatter."""
     bs, cin, h, wd = x.shape

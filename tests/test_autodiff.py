@@ -1,9 +1,12 @@
 """Autodiff core: forward values against brute-force references, gradient
 routing, and finite-difference checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stanseg import autodiff
 from stanseg.autodiff import (
     ConvParams,
     GraphConsumedError,
@@ -20,6 +23,7 @@ from stanseg.autodiff import (
 )
 
 from reference import (
+    conv2d_grads_ref,
     conv2d_ref,
     deconv2d_ref,
     grad_check,
@@ -32,6 +36,34 @@ def make_params(rng, cout, cin, k, requires_grad=True):
     w = Tensor(rng.standard_normal((cout, cin, k, k)), requires_grad=requires_grad)
     b = Tensor(rng.standard_normal(cout), requires_grad=requires_grad)
     return ConvParams(w, b)
+
+
+CONV_CASES = [
+    ((1, 1, 4, 4), 2, 1),
+    ((2, 3, 5, 6), 4, 3),
+    ((1, 2, 7, 5), 3, 5),
+    ((3, 1, 6, 6), 1, 3),
+]
+
+
+def conv_with_grads(shape, cout, k):
+    """(x, params, g, out) with x.grad, weights.grad and bias.grad holding
+    the gradients of sum(g * out)."""
+    rng = np.random.default_rng(hash((shape, cout, k)) % 2**32)
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    p = make_params(rng, cout, shape[1], k)
+    g = rng.standard_normal((shape[0], cout) + shape[2:])
+    out = conv2d(x, p)
+    backward((out * Tensor(g)).sum())
+    return x, p, g, out
+
+
+def assert_matches_conv_refs(x, p, g, out):
+    w, b = p.weights, p.bias
+    np.testing.assert_allclose(out.data, conv2d_ref(x.data, w.data, b.data),
+                               rtol=1e-12, atol=1e-12)
+    for got, ref in zip((x.grad, w.grad, b.grad), conv2d_grads_ref(x.data, w.data, g)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 class TestConv2d:
@@ -55,12 +87,7 @@ class TestConv2d:
         expected = np.broadcast_to(p.bias.data[None, :, None, None], (1, 3, 4, 4))
         np.testing.assert_array_equal(out.data, expected)
 
-    @pytest.mark.parametrize("shape,cout,k", [
-        ((1, 1, 4, 4), 2, 1),
-        ((2, 3, 5, 6), 4, 3),
-        ((1, 2, 7, 5), 3, 5),
-        ((3, 1, 6, 6), 1, 3),
-    ])
+    @pytest.mark.parametrize("shape,cout,k", CONV_CASES)
     def test_matches_nested_loop_reference(self, shape, cout, k):
         rng = np.random.default_rng(hash((shape, cout, k)) % 2**32)
         x = Tensor(rng.standard_normal(shape))
@@ -68,6 +95,46 @@ class TestConv2d:
         out = conv2d(x, p)
         ref = conv2d_ref(x.data, p.weights.data, p.bias.data)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,cout,k", CONV_CASES)
+    def test_gradients_match_nested_loop_reference(self, shape, cout, k):
+        assert_matches_conv_refs(*conv_with_grads(shape, cout, k))
+
+    # A cap of 1 element makes every row its own chunk. In the forward
+    # pass, caps of 648 and 750 split the rows of (2, 3, 5, 6) 4+1 and those
+    # of (1, 2, 7, 5) 2+2+2+1 and 3+3+1, and group the three images of
+    # (3, 1, 6, 6) 2+1.
+    @pytest.mark.parametrize("cap", [1, 648, 750])
+    @pytest.mark.parametrize("shape,cout,k", CONV_CASES)
+    def test_any_chunk_cap_matches_reference(self, monkeypatch, shape, cout, k, cap):
+        monkeypatch.setattr(autodiff, "_CHUNK_ELEMENTS", cap)
+        assert_matches_conv_refs(*conv_with_grads(shape, cout, k))
+
+    def test_no_grad_peak_memory_holds_one_chunk(self):
+        # C32->16 k5 at 128px: the whole column matrix is 105 MB, one chunk
+        # 32 MB, and the padded input, GEMM result and output 9 MB together
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.standard_normal((1, 32, 128, 128)))
+        p = make_params(rng, 16, 32, 5, requires_grad=False)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                conv2d(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * 2**20
+
+    @pytest.mark.parametrize("shape", [(1, 0, 4, 4), (1, 1, 0, 4), (1, 1, 4, 0)])
+    def test_empty_channel_or_spatial_extent(self, shape):
+        x = Tensor(np.zeros(shape), requires_grad=True)
+        p = make_params(np.random.default_rng(18), 2, shape[1], 3)
+        out = conv2d(x, p)
+        expected = np.broadcast_to(p.bias.data[None, :, None, None], (1, 2) + shape[2:])
+        np.testing.assert_array_equal(out.data, expected)
+        backward(out.sum())
+        assert x.grad.shape == shape
+        np.testing.assert_array_equal(p.weights.grad, np.zeros(p.weights.shape))
 
     def test_preserves_spatial_shape(self):
         rng = np.random.default_rng(13)
@@ -234,6 +301,23 @@ class TestActivations:
     def test_sigmoid_extreme_inputs_stay_finite(self):
         out = sigmoid(Tensor([-1000.0, 1000.0])).data
         assert out[0] == 0.0 and out[1] == 1.0
+
+
+class TestSavedArrays:
+    def test_relu_keeps_no_mask_and_maxpool_byte_indices(self):
+        # the graph of maxpool2d(relu(x)) holds relu's output (8 bytes per
+        # input value), the pooled output (2) and one byte per pooled index
+        # (0.25); a boolean relu mask would add 1, int64 indices 1.75
+        x = Tensor(np.random.default_rng(17).standard_normal((1, 8, 256, 256)),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            y = maxpool2d(relu(x))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.node is not None
+        assert held <= x.size * (8 + 2 + 0.25) + 2**16
 
 
 class TestBackward:

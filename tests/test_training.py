@@ -2,6 +2,7 @@
 scalar recurrence, shift augmentation, fold splitting, and loop determinism."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -300,6 +301,27 @@ class TestTrainLoop:
         assert len(history.epoch_losses) == 30
         assert history.epoch_losses[-1] < history.epoch_losses[0]
         assert all(np.isfinite(history.epoch_losses))
+
+    def test_batch_size_one_trains(self):
+        _, history = train(tiny_model(seed=3), tiny_dataset(n=1, seed=11),
+                           TrainConfig(epochs=2, batch_size=1))
+        assert len(history.epoch_losses) == 2
+        assert all(np.isfinite(history.epoch_losses))
+
+    def test_second_step_peaks_like_the_first(self):
+        # a step's graph must be gone before the next forward pass; kept
+        # alive, it raises the two-step peak by about 4% at this size
+        data = tiny_dataset(n=4, seed=12, size=32)
+        peaks = []
+        for steps in (1, 2):
+            model = build_model(ModelConfig(input_size=32, base_filters=4, seed=0))
+            tracemalloc.start()
+            try:
+                train(model, data[:2 * steps], TrainConfig(epochs=1, batch_size=2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.01 * peaks[0]
 
     def test_non_finite_loss_aborts_with_location(self):
         model = tiny_model()
