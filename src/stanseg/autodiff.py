@@ -7,11 +7,12 @@ elementwise arithmetic + global sum used by the dice loss. Tensors are
 value-semantic; a computation graph is recorded only while gradients
 are enabled and is consumed by a single backward pass.
 
-A convolution is one GEMM of the (Cout, Cin*k*k) weights with a column
-matrix holding one plane of the padded input per kernel tap, built in
-chunks of whole images, or of rows of one image, under a fixed element
-cap. The weight gradient is the output gradient times the same matrix;
-the input gradient is that kernel with flipped, channel-swapped weights.
+A convolution copies its input once into a flat zero-padded grid whose strided
+view is its column matrix: each tap of a run of outputs is one window (MEC, Cho
+& Brand 2017), copied in chunks of whole images or rows of one image under an
+element cap for one GEMM each. The input gradient flips and channel-swaps the
+weights; the weight gradient is a GEMM per tap of both grids' windows, where the
+output gradient is 0 off the output, so an inf or nan input can give 0*inf there.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class GraphConsumedError(RuntimeError):
 
 
 _grad_enabled = True
-_CHUNK_ELEMENTS = 1 << 22  # float64 elements of one column-matrix chunk (32 MB)
+_CHUNK_ELEMENTS = 1 << 22  # float64 elements of a column-matrix chunk (32 MB), padding included
 
 
 @contextlib.contextmanager
@@ -197,29 +198,36 @@ def _check_input_4d(op: str, x: Tensor) -> None:
         raise ShapeMismatchError(f"{op}: input must be 4-D (B, C, H, W), got {x.shape}")
 
 
-def _columns(a: np.ndarray, k: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """Yield (images, rows, cols): ``cols`` is the (C*k*k, n) column matrix of
-    the outputs ``[images, :, rows]`` of a same-padded k x k correlation of
-    ``a`` (B, C, H, W), a view of one buffer valid until the next yield."""
+def _grid(a: np.ndarray, p: int) -> np.ndarray:
+    """(C, B*hp*wp + 2p(wp+1)) zeros holding (B, C, H, W) ``a`` as images of hp = H+p
+    rows of wp = W+p, whose p trailing zeros pad both neighbours. Output (b, i, j) is
+    position n = b*hp*wp + i*wp + j, its tap (di, dj) n + di*wp + dj, its pixel n + p*wp + p."""
     bs, c, h, w = a.shape
-    ap = np.pad(a, ((0, 0), (0, 0), (k // 2, k // 2), (k // 2, k // 2)))
-    rows = max(1, min(h, _CHUNK_ELEMENTS // max(1, c * k * k * w)))
-    imgs = max(1, _CHUNK_ELEMENTS // max(1, c * k * k * h * w))  # 1 unless rows == h
-    buf = np.empty(c * k * k * min(imgs, bs) * rows * w)
+    hp, wp = h + p, w + p
+    flat = np.zeros((c, bs * hp * wp + 2 * p * (wp + 1)))
+    flat[:, p * wp + p:p * wp + p + bs * hp * wp].reshape(c, bs, hp, wp)[:, :, :h, :w] = \
+        a.transpose(1, 0, 2, 3)
+    return flat
+
+
+def _correlate(flat: np.ndarray, shape: tuple, w: np.ndarray) -> np.ndarray:
+    """Same-padded correlation of the ``shape`` array with grid ``flat`` and ``w``."""
+    (bs, c, h, wd), k = shape, w.shape[2]
+    hp, wp = h + k // 2, wd + k // 2
+    rows = max(1, min(h, _CHUNK_ELEMENTS // max(1, c * k * k * wp)))
+    imgs = max(1, _CHUNK_ELEMENTS // max(1, c * k * k * hp * wp)) if rows == h else 1
+    buf = np.empty(c * k * k * min(imgs, bs) * (hp if imgs > 1 else rows) * wp)
+    out = np.empty((bs, len(w), h, wd))
     for b0, r0 in itertools.product(range(0, bs, imgs), range(0, h, rows)):
         b1, r1 = min(b0 + imgs, bs), min(r0 + rows, h)
-        cols = buf[:c * k * k * (b1 - b0) * (r1 - r0) * w].reshape(c, k, k, b1 - b0, r1 - r0, w)
-        for di, dj in np.ndindex(k, k):  # one plane copy per tap
-            cols[:, di, dj] = ap[b0:b1, :, r0 + di:r1 + di, dj:dj + w].transpose(1, 0, 2, 3)
-        yield slice(b0, b1), slice(r0, r1), cols.reshape(c * k * k, (b1 - b0) * (r1 - r0) * w)
-
-
-def _correlate(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Same-padded (B, Cin, H, W) ``a`` correlated with (Cout, Cin, k, k) ``w``."""
-    out = np.empty((len(a), len(w)) + a.shape[2:])
-    for images, rows, cols in _columns(a, w.shape[2]):
-        o = out[images, :, rows].transpose(1, 0, 2, 3)  # view
-        o[...] = (w.reshape(len(w), len(cols)) @ cols).reshape(o.shape)
+        span = hp if imgs > 1 else r1 - r0  # grid rows per image
+        n, s = (b1 - b0) * span * wp, b0 * hp * wp + r0 * wp
+        cols = buf[:c * k * k * n].reshape(c, k, k, n)  # tap (di, dj) starts at s + di*wp + dj
+        cols[...] = np.lib.stride_tricks.as_strided(
+            flat[:, s:], (c, k, k, n), (flat.strides[0], wp * 8, 8, 8), writeable=False)
+        res = w.reshape(len(w), c * k * k) @ cols.reshape(c * k * k, n)
+        out[b0:b1, :, r0:r1].transpose(1, 0, 2, 3)[...] = \
+            res.reshape(len(w), b1 - b0, span, wp)[:, :, :r1 - r0, :wd]
     return out
 
 
@@ -234,7 +242,8 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         raise ShapeMismatchError(
             f"conv2d: input channel axis 1 has {x.shape[1]} channels, "
             f"kernel expects {params.in_channels}")
-    out = _correlate(x.data, w.data)
+    p = k // 2
+    out = _correlate(_grid(x.data, p), x.shape, w.data)
     out += bias.data[None, :, None, None]
 
     need_x, need_w, need_b = _needs_grad(x), _needs_grad(w), _needs_grad(bias)
@@ -243,14 +252,18 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         gx = gw = gb = None
         if need_b:
             gb = g.sum(axis=(0, 2, 3))
+        gg = _grid(g, p)
         if need_x:
             # correlate g with the flipped kernel, input/output channels swapped
-            gx = _correlate(g, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        if need_w:  # last, as the loop's cols keeps its buffer alive until return
-            gw = np.zeros((params.out_channels, params.in_channels * k * k))
-            for images, rows, cols in _columns(x.data, k):  # summed in chunk order
-                gw += g[images, :, rows].transpose(1, 0, 2, 3).reshape(len(gw), -1) @ cols.T
-            gw = gw.reshape(w.shape)
+            gx = _correlate(gg, g.shape, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        if need_w:  # g's grid from p*wp + p on is g at each output, else 0
+            xg, wp = _grid(x.data, p), x.shape[3] + p
+            n, gw = xg.shape[1] - 2 * p * (wp + 1), np.zeros(w.shape)
+            step = max(1, (1 << 16) // (len(gg) + len(xg) + 1))  # a block's 512 KB stay in cache
+            for s, (di, dj) in itertools.product(range(0, n, step), np.ndindex(k, k)):
+                e = min(s + step, n)
+                gw[:, :, di, dj] += (gg[:, p * wp + p + s:p * wp + p + e]
+                                     @ xg[:, di * wp + dj + s:di * wp + dj + e].T)
         return gx, gw, gb
 
     return _result(out, "conv2d", (x, w, bias), backward_fn)
@@ -267,14 +280,11 @@ def deconv2d(x: Tensor, params: ConvParams) -> Tensor:
         raise ShapeMismatchError(
             f"deconv2d: input channel axis 1 has {x.shape[1]} channels, "
             f"kernel expects {params.in_channels}")
-    b, _, h, ww = x.shape
-    cout = params.out_channels
-    out = np.empty((b, cout, 2 * h, 2 * ww))
-    # stride equals kernel size, so output positions never overlap
-    for i in (0, 1):
-        for j in (0, 1):
-            t = np.tensordot(x.data, w.data[:, :, i, j], axes=((1,), (1,)))  # (B, H, W, Cout)
-            out[:, :, i::2, j::2] = t.transpose(0, 3, 1, 2)
+    (b, cin, h, ww), cout = x.shape, params.out_channels
+    # outputs never overlap: one GEMM gives all four taps, a depth-to-space shuffle places them
+    t = (w.data.transpose(2, 3, 0, 1).reshape(4 * cout, cin)
+         @ x.data.transpose(1, 0, 2, 3).reshape(cin, b * h * ww)).reshape(2, 2, cout, b, h, ww)
+    out = t.transpose(3, 2, 4, 0, 5, 1).reshape(b, cout, 2 * h, 2 * ww)
     out += bias.data[None, :, None, None]
 
     need_x, need_w, need_b = _needs_grad(x), _needs_grad(w), _needs_grad(bias)

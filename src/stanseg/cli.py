@@ -304,12 +304,15 @@ def _build_parser() -> argparse.ArgumentParser:
             if key in COMMAND_KEYS[name]:
                 p.add_argument(flag, type=_KEY_PARSERS[key], dest=key,
                                help=f"sets {key}")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # name the command and the first flag it does not take
+        flags = [a for a in extra if a.startswith("-")] or extra
+        args.parser.error(f"{args.command} does not take {flags[0]}")
     try:
         args.func(resolve_settings(args), args)
     except Exception as exc:

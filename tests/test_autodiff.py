@@ -43,6 +43,11 @@ CONV_CASES = [
     ((2, 3, 5, 6), 4, 3),
     ((1, 2, 7, 5), 3, 5),
     ((3, 1, 6, 6), 1, 3),
+    # taps that run past the image on both sides, where a window on the
+    # flat padded grid could wrap into the next row or image
+    ((2, 2, 1, 3), 3, 5),
+    ((1, 1, 3, 1), 2, 3),
+    ((3, 2, 1, 1), 2, 3),
 ]
 
 
@@ -100,11 +105,14 @@ class TestConv2d:
     def test_gradients_match_nested_loop_reference(self, shape, cout, k):
         assert_matches_conv_refs(*conv_with_grads(shape, cout, k))
 
-    # A cap of 1 element makes every row its own chunk. In the forward
-    # pass, caps of 648 and 750 split the rows of (2, 3, 5, 6) 4+1 and those
-    # of (1, 2, 7, 5) 2+2+2+1 and 3+3+1, and group the three images of
-    # (3, 1, 6, 6) 2+1.
-    @pytest.mark.parametrize("cap", [1, 648, 750])
+    # A cap of 1 element makes every row its own chunk. Other caps, counted
+    # over the padded grid of W+k//2 columns and H+k//2 rows per image, split
+    # the forward pass's rows of (1, 1, 4, 4) 3+1 (cap 12), of (1, 1, 3, 1) 2+1
+    # (40), of (3, 1, 6, 6) 2+2+2 (150), of (2, 3, 5, 6) 3+2 (648) and of
+    # (1, 2, 7, 5) 2+2+2+1 (750); they group the images of (3, 2, 1, 1) 2+1
+    # (150), of (3, 1, 6, 6) 2+1 (1000), and of (2, 3, 5, 6) and (2, 2, 1, 3)
+    # into one chunk (3200). The input gradient splits (1, 2, 7, 5) 6+1 (3200).
+    @pytest.mark.parametrize("cap", [1, 12, 40, 150, 648, 750, 1000, 3200])
     @pytest.mark.parametrize("shape,cout,k", CONV_CASES)
     def test_any_chunk_cap_matches_reference(self, monkeypatch, shape, cout, k, cap):
         monkeypatch.setattr(autodiff, "_CHUNK_ELEMENTS", cap)

@@ -353,10 +353,12 @@ class TestCommandSettings:
         ["eval", "--arch", "unet", "w", "d", "o"],
         ["predict", "--input-size", "128", "w", "i", "o"],
     ], ids=["eval-arch", "predict-input-size"])
-    def test_flag_of_another_command_exits_two(self, argv):
+    def test_flag_of_another_command_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"stanseg {argv[0]}: error: {argv[0]} does not take {argv[1]}"
 
 
 class TestFormatTable:

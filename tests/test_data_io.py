@@ -105,6 +105,12 @@ class TestPgmIo:
         with pytest.raises(PgmFormatError, match="dimensions"):
             read_pgm(path)
 
+    def test_zero_height(self, tmp_path):
+        path = tmp_path / "flat.pgm"
+        path.write_bytes(b"P5\n3 0\n255\n")
+        with pytest.raises(PgmFormatError, match="dimensions"):
+            read_pgm(path)
+
     def test_write_rejects_wrong_dtype_or_rank(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "f.pgm", np.zeros((2, 2)))
@@ -258,6 +264,11 @@ class TestManifest:
 class TestSynthConfig:
     def test_defaults_validate(self):
         SynthConfig()
+
+    def test_smallest_image_size_accepted(self):
+        assert SynthConfig(image_size=4, axis_range=(1.0, 1.0)).image_size == 4
+        with pytest.raises(ValueError, match="image_size"):
+            SynthConfig(image_size=3, axis_range=(1.0, 1.0))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="count"):

@@ -63,6 +63,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="seed"):
             ModelConfig(seed=-1)
 
+    def test_seed_must_fit_in_64_bits(self):
+        assert ModelConfig(seed=2**64 - 1).seed == 2**64 - 1
+        with pytest.raises(ValueError, match="seed"):
+            ModelConfig(seed=2**64)
+
 
 class TestParamCounts:
     # frozen from the hand-derived layer tables before the builder existed

@@ -68,6 +68,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=name):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["beta1", "beta2", "shift_fraction"])
+    def test_zero_is_accepted(self, name):
+        # the closed lower end of [0, 1) and [0, 0.5); shift 0 turns
+        # augmentation off
+        assert getattr(TrainConfig(**{name: 0.0}), name) == 0.0
+
 
 class TestDiceLoss:
     def test_perfect_binary_prediction_is_zero(self):
@@ -280,6 +286,11 @@ class TestTrainLoop:
         assert history.epoch_losses == [] and history.epoch_seconds == []
         for n, t in named_arrays(model):
             np.testing.assert_array_equal(t.data, before[n])
+
+    def test_empty_dataset_at_zero_epochs_returns_model(self):
+        model = tiny_model()
+        returned, history = train(model, [], TrainConfig(epochs=0))
+        assert returned is model and history.epoch_losses == []
 
     def test_same_seed_bitwise_identical_weights(self):
         cfg = TrainConfig(epochs=2, batch_size=2, seed=42)
