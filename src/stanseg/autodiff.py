@@ -7,18 +7,17 @@ elementwise arithmetic + global sum used by the dice loss. Tensors are
 value-semantic; a computation graph is recorded only while gradients
 are enabled and is consumed by a single backward pass.
 
-A convolution copies its input once into a flat zero-padded grid whose strided
-view is its column matrix: each tap of a run of outputs is one window (MEC, Cho
-& Brand 2017), copied in chunks of whole images or rows of one image under an
-element cap for one GEMM each. The input gradient flips and channel-swaps the
-weights; the weight gradient is a GEMM per tap of both grids' windows, where the
-output gradient is 0 off the output, so an inf or nan input can give 0*inf there.
+A convolution copies its input once into a flat zero-padded grid, whose tap view
+holds each tap of a run of positions as one window (MEC, Cho & Brand 2017); blocks
+of positions under an element cap are copied from it for one GEMM each. The input
+gradient flips and channel-swaps the weights; the weight gradient is a GEMM per tap
+of both views, where the output gradient is 0 off the output, so an inf or nan input
+can give 0*inf there. deconv2d's backward undoes its forward's depth-to-space shuffle.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -35,6 +34,7 @@ class GraphConsumedError(RuntimeError):
 
 _grad_enabled = True
 _CHUNK_ELEMENTS = 1 << 22  # float64 elements of a column-matrix chunk (32 MB), padding included
+_BLOCK_ELEMENTS = 1 << 16  # float64 elements of a weight-gradient block (512 KB), kept in cache
 
 
 @contextlib.contextmanager
@@ -151,7 +151,7 @@ def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 def _result(data: np.ndarray, op: str, parents: tuple, backward_fn: Callable) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p.node is not None for p in parents):
+    if _grad_enabled and any(_needs_grad(p) for p in parents):
         out.node = _Node(op, parents, backward_fn)
     return out
 
@@ -210,25 +210,25 @@ def _grid(a: np.ndarray, p: int) -> np.ndarray:
     return flat
 
 
+def _taps(flat: np.ndarray, k: int, wp: int) -> np.ndarray:
+    """(C, k, k, n) view of grid ``flat`` whose [:, di, dj, s] is tap (di, dj) of position s."""
+    n = flat.shape[1] - (k - 1) * (wp + 1)
+    return np.lib.stride_tricks.as_strided(
+        flat, (len(flat), k, k, n), (flat.strides[0], wp * 8, 8, 8), writeable=False)
+
+
 def _correlate(flat: np.ndarray, shape: tuple, w: np.ndarray) -> np.ndarray:
-    """Same-padded correlation of the ``shape`` array with grid ``flat`` and ``w``."""
+    """Same-padded correlation of the ``shape`` array in grid ``flat`` with ``w``, as a view."""
     (bs, c, h, wd), k = shape, w.shape[2]
-    hp, wp = h + k // 2, wd + k // 2
-    rows = max(1, min(h, _CHUNK_ELEMENTS // max(1, c * k * k * wp)))
-    imgs = max(1, _CHUNK_ELEMENTS // max(1, c * k * k * hp * wp)) if rows == h else 1
-    buf = np.empty(c * k * k * min(imgs, bs) * (hp if imgs > 1 else rows) * wp)
-    out = np.empty((bs, len(w), h, wd))
-    for b0, r0 in itertools.product(range(0, bs, imgs), range(0, h, rows)):
-        b1, r1 = min(b0 + imgs, bs), min(r0 + rows, h)
-        span = hp if imgs > 1 else r1 - r0  # grid rows per image
-        n, s = (b1 - b0) * span * wp, b0 * hp * wp + r0 * wp
-        cols = buf[:c * k * k * n].reshape(c, k, k, n)  # tap (di, dj) starts at s + di*wp + dj
-        cols[...] = np.lib.stride_tricks.as_strided(
-            flat[:, s:], (c, k, k, n), (flat.strides[0], wp * 8, 8, 8), writeable=False)
-        res = w.reshape(len(w), c * k * k) @ cols.reshape(c * k * k, n)
-        out[b0:b1, :, r0:r1].transpose(1, 0, 2, 3)[...] = \
-            res.reshape(len(w), b1 - b0, span, wp)[:, :, :r1 - r0, :wd]
-    return out
+    hp, wp, ck = h + k // 2, wd + k // 2, c * k * k
+    n, step, taps = bs * hp * wp, max(1, _CHUNK_ELEMENTS // max(1, ck)), _taps(flat, k, wp)
+    buf, res, wm = np.empty(ck * min(step, n)), np.empty((len(w), n)), w.reshape(len(w), ck)
+    for s in range(0, n, step):
+        m = min(step, n - s)
+        cols = buf[:ck * m].reshape(c, k, k, m)
+        cols[...] = taps[..., s:s + m]
+        np.matmul(wm, cols.reshape(ck, m), out=res[:, s:s + m])
+    return res.reshape(len(w), bs, hp, wp)[:, :, :h, :wd].transpose(1, 0, 2, 3)
 
 
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
@@ -244,7 +244,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
             f"kernel expects {params.in_channels}")
     p = k // 2
     out = _correlate(_grid(x.data, p), x.shape, w.data)
-    out += bias.data[None, :, None, None]
+    out = np.add(out, bias.data[None, :, None, None], order="C")  # reads the view into C order
 
     need_x, need_w, need_b = _needs_grad(x), _needs_grad(w), _needs_grad(bias)
 
@@ -255,15 +255,15 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         gg = _grid(g, p)
         if need_x:
             # correlate g with the flipped kernel, input/output channels swapped
-            gx = _correlate(gg, g.shape, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        if need_w:  # g's grid from p*wp + p on is g at each output, else 0
-            xg, wp = _grid(x.data, p), x.shape[3] + p
-            n, gw = xg.shape[1] - 2 * p * (wp + 1), np.zeros(w.shape)
-            step = max(1, (1 << 16) // (len(gg) + len(xg) + 1))  # a block's 512 KB stay in cache
-            for s, (di, dj) in itertools.product(range(0, n, step), np.ndindex(k, k)):
-                e = min(s + step, n)
-                gw[:, :, di, dj] += (gg[:, p * wp + p + s:p * wp + p + e]
-                                     @ xg[:, di * wp + dj + s:di * wp + dj + e].T)
+            gx = np.ascontiguousarray(
+                _correlate(gg, g.shape, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+        if need_w:  # g's grid at tap (p, p) is g at each output, else 0
+            wp, gw = x.shape[3] + p, np.zeros(w.shape)
+            xt, gt = _taps(_grid(x.data, p), k, wp), _taps(gg, k, wp)[:, p, p]
+            step = max(1, _BLOCK_ELEMENTS // (len(gt) + len(xt) + 1))
+            for s in range(0, gt.shape[1], step):
+                for di, dj in np.ndindex(k, k):
+                    gw[:, :, di, dj] += gt[:, s:s + step] @ xt[:, di, dj, s:s + step].T
         return gx, gw, gb
 
     return _result(out, "conv2d", (x, w, bias), backward_fn)
@@ -281,9 +281,13 @@ def deconv2d(x: Tensor, params: ConvParams) -> Tensor:
             f"deconv2d: input channel axis 1 has {x.shape[1]} channels, "
             f"kernel expects {params.in_channels}")
     (b, cin, h, ww), cout = x.shape, params.out_channels
+
+    def operands():  # the GEMM's weight rows (i, j, Cout) and input columns (B, H, W)
+        return (w.data.transpose(2, 3, 0, 1).reshape(4 * cout, cin),
+                x.data.transpose(1, 0, 2, 3).reshape(cin, b * h * ww))
+
     # outputs never overlap: one GEMM gives all four taps, a depth-to-space shuffle places them
-    t = (w.data.transpose(2, 3, 0, 1).reshape(4 * cout, cin)
-         @ x.data.transpose(1, 0, 2, 3).reshape(cin, b * h * ww)).reshape(2, 2, cout, b, h, ww)
+    t = np.matmul(*operands()).reshape(2, 2, cout, b, h, ww)
     out = t.transpose(3, 2, 4, 0, 5, 1).reshape(b, cout, 2 * h, 2 * ww)
     out += bias.data[None, :, None, None]
 
@@ -293,18 +297,13 @@ def deconv2d(x: Tensor, params: ConvParams) -> Tensor:
         gx = gw = gb = None
         if need_b:
             gb = g.sum(axis=(0, 2, 3))
+        w4, x4 = operands()
+        g4 = g.reshape(b, cout, h, 2, ww, 2).transpose(3, 5, 1, 0, 2, 4).reshape(
+            4 * cout, b * h * ww)  # space-to-depth, the inverse of the forward's shuffle
         if need_x:
-            gx = np.zeros_like(x.data)
+            gx = np.ascontiguousarray((w4.T @ g4).reshape(cin, b, h, ww).transpose(1, 0, 2, 3))
         if need_w:
-            gw = np.empty_like(w.data)
-        for i in (0, 1):
-            for j in (0, 1):
-                gij = g[:, :, i::2, j::2]  # (B, Cout, H, W)
-                if need_x:
-                    t = np.tensordot(gij, w.data[:, :, i, j], axes=((1,), (0,)))
-                    gx += t.transpose(0, 3, 1, 2)
-                if need_w:
-                    gw[:, :, i, j] = np.tensordot(gij, x.data, axes=((0, 2, 3), (0, 2, 3)))
+            gw = (g4 @ x4.T).reshape(2, 2, cout, cin).transpose(2, 3, 0, 1)
         return gx, gw, gb
 
     return _result(out, "deconv2d", (x, w, bias), backward_fn)

@@ -295,7 +295,7 @@ def synth_generate(cfg: SynthConfig) -> list[Sample]:
             lo, hi = cfg.axis_range
             a, b = sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)), reverse=True)
         margin = a + 1.0
-        if size - 1.0 - margin <= margin:
+        if size - 1.0 - margin < margin:
             raise GeometryError(
                 f"sample {i}: semi-axis {a} leaves no room for the centre "
                 f"in a {size}px frame")

@@ -86,6 +86,30 @@ def deconv2d_ref(x, w, b):
     return out
 
 
+def deconv2d_grads_ref(x, w, g):
+    """Gradients (x, w, bias) of sum(g * deconv2d(x, w, b)), accumulated
+    term by term over the same loops as deconv2d_ref."""
+    bs, cin, h, wd = x.shape
+    cout = w.shape[0]
+    gx = np.zeros(x.shape)
+    gw = np.zeros(w.shape)
+    gb = np.zeros(cout)
+    for n in range(bs):
+        for co in range(cout):
+            for i in range(2 * h):
+                for j in range(2 * wd):
+                    gb[co] += g[n, co, i, j]
+            for ci in range(cin):
+                for i in range(h):
+                    for j in range(wd):
+                        for di in range(2):
+                            for dj in range(2):
+                                go = g[n, co, 2 * i + di, 2 * j + dj]
+                                gx[n, ci, i, j] += go * w[co, ci, di, dj]
+                                gw[co, ci, di, dj] += go * x[n, ci, i, j]
+    return gx, gw, gb
+
+
 def maxpool2d_ref(x):
     """2x2 stride-2 max pooling via per-window max()."""
     bs, c, h, wd = x.shape

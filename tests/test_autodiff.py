@@ -25,6 +25,7 @@ from stanseg.autodiff import (
 from reference import (
     conv2d_grads_ref,
     conv2d_ref,
+    deconv2d_grads_ref,
     deconv2d_ref,
     grad_check,
     maxpool2d_first_argmax_ref,
@@ -105,17 +106,20 @@ class TestConv2d:
     def test_gradients_match_nested_loop_reference(self, shape, cout, k):
         assert_matches_conv_refs(*conv_with_grads(shape, cout, k))
 
-    # A cap of 1 element makes every row its own chunk. Other caps, counted
-    # over the padded grid of W+k//2 columns and H+k//2 rows per image, split
-    # the forward pass's rows of (1, 1, 4, 4) 3+1 (cap 12), of (1, 1, 3, 1) 2+1
-    # (40), of (3, 1, 6, 6) 2+2+2 (150), of (2, 3, 5, 6) 3+2 (648) and of
-    # (1, 2, 7, 5) 2+2+2+1 (750); they group the images of (3, 2, 1, 1) 2+1
-    # (150), of (3, 1, 6, 6) 2+1 (1000), and of (2, 3, 5, 6) and (2, 2, 1, 3)
-    # into one chunk (3200). The input gradient splits (1, 2, 7, 5) 6+1 (3200).
+    # Each pass cuts the flat grid, W+k//2 positions a row and H+k//2 rows an
+    # image, into blocks of cap // (Cin*k*k) positions in the forward pass,
+    # cap // (Cout*k*k) in the input gradient and cap // (Cin+Cout+1) in the
+    # weight gradient, at least one. Cap 1 makes each position a block in all
+    # three passes. Caps 12 to 1000 end blocks mid-row, and they make blocks
+    # that cross from one image into the next: in the weight gradient of
+    # (3, 1, 6, 6) at 12, in all three passes of (3, 1, 6, 6) at 40 and 150
+    # and of (2, 3, 5, 6) at 150 and 648. At 3200 only the input gradient of
+    # (1, 2, 7, 5) has two blocks, split at a row end.
     @pytest.mark.parametrize("cap", [1, 12, 40, 150, 648, 750, 1000, 3200])
     @pytest.mark.parametrize("shape,cout,k", CONV_CASES)
     def test_any_chunk_cap_matches_reference(self, monkeypatch, shape, cout, k, cap):
         monkeypatch.setattr(autodiff, "_CHUNK_ELEMENTS", cap)
+        monkeypatch.setattr(autodiff, "_BLOCK_ELEMENTS", cap)
         assert_matches_conv_refs(*conv_with_grads(shape, cout, k))
 
     def test_no_grad_peak_memory_holds_one_chunk(self):
@@ -245,6 +249,19 @@ class TestDeconv2d:
         ref = deconv2d_ref(x.data, p.weights.data, p.bias.data)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
         assert out.shape == (2, 4, 8, 10)
+
+    # B > 1 with H != W (3 -> 2 channels at 5x7, 4 -> 3 at 3x2) and a 1x1 input
+    @pytest.mark.parametrize("shape,cout", [((2, 3, 5, 7), 2), ((3, 4, 3, 2), 3),
+                                            ((2, 2, 1, 1), 4)])
+    def test_gradients_match_nested_loop_reference(self, shape, cout):
+        rng = np.random.default_rng(hash((shape, cout)) % 2**32)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        p = make_params(rng, cout, shape[1], 2)
+        g = rng.standard_normal((shape[0], cout, 2 * shape[2], 2 * shape[3]))
+        backward((deconv2d(x, p) * Tensor(g)).sum())
+        refs = deconv2d_grads_ref(x.data, p.weights.data, g)
+        for got, ref in zip((x.grad, p.weights.grad, p.bias.grad), refs):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
     def test_wrong_kernel_size_rejected(self):
         p = ConvParams(Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)))

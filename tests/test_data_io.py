@@ -365,6 +365,16 @@ class TestSynthGenerate:
             assert not s.mask[0].any() and not s.mask[-1].any()
             assert not s.mask[:, 0].any() and not s.mask[:, -1].any()
 
+    def test_centre_range_of_one_point_accepted(self):
+        # a 13 px diameter in a 16 px frame leaves one possible centre,
+        # (7.5, 7.5): the mask is point-symmetric about it and clears the border
+        (s,) = synth_generate(SynthConfig(count=1, image_size=16, axis_list=(13.0,)))
+        np.testing.assert_array_equal(s.mask, s.mask[::-1, ::-1])
+        assert not s.mask[0].any() and not s.mask[-1].any()
+        assert not s.mask[:, 0].any() and not s.mask[:, -1].any()
+        with pytest.raises(GeometryError, match="no room for the centre"):
+            synth_generate(SynthConfig(count=1, image_size=16, axis_list=(13.5,)))
+
     def test_axis_list_cycles_and_controls_size(self):
         cfg = SynthConfig(count=4, image_size=64, axis_list=(16.0, 24.0), seed=8)
         samples = synth_generate(cfg)
