@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import typing
 from pathlib import Path
@@ -30,22 +29,21 @@ from .data_io import (
     save_mask,
     synth_generate,
 )
-from .metrics import binarize, evaluate, report_to_csv, report_to_json
-from .model import (ARCHITECTURES, ModelConfig, build_model, load_weights,
-                    save_weights)
-from .training import TrainConfig, cross_validate, history_to_dict, train
+from .metrics import (EvalConfig, binarize, evaluate, report_to_csv,
+                      report_to_json)
+from .model import ModelConfig, build_model, load_weights, save_weights
+from .training import (CrossvalConfig, TrainConfig, cross_validate,
+                       history_to_dict, train)
 
 
 class ConfigError(ValueError):
-    """Bad key, value, or syntax in a config file."""
+    """Bad key, value, or syntax in a command's settings."""
 
 
-# The library configs own every setting's name, type and default; the
-# flat keys below are derived from them. A key declared by several
-# sections takes its type and default from the first.
-_SECTIONS = (ModelConfig, TrainConfig, SynthConfig)
+# The library configs own every setting's name, type, default and
+# check; the flat keys below are derived from them. A key declared by
+# several sections takes its type and default from the first.
 _FLAT_KEYS = {"image_size": "input_size"}  # section field -> flat key
-_EVAL_SETTINGS = {"threshold": (float, 0.5), "small_axis": (float, 120.0)}
 
 
 def _fields(*sections) -> dict:
@@ -59,32 +57,24 @@ def _fields(*sections) -> dict:
     return fields
 
 
-_FIELDS = {**_fields(*_SECTIONS), **_EVAL_SETTINGS}
-_TRAIN_KEYS = tuple(_fields(ModelConfig, TrainConfig))
-# The keys each command reads: only these are applied and recorded.
-COMMAND_KEYS = {"synth": tuple(_fields(SynthConfig)), "train": _TRAIN_KEYS,
-                "predict": ("threshold",), "eval": tuple(_EVAL_SETTINGS),
-                "crossval": _TRAIN_KEYS + tuple(_EVAL_SETTINGS)}
-
-
-def _validate(settings: dict) -> None:
-    for key, value in settings.items():
-        numbers = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
-            raise ConfigError(f"{key} must be finite, got {value}")
-    if "threshold" in settings and not 0.0 < settings["threshold"] <= 1.0:
-        raise ConfigError(
-            f"threshold must be in (0, 1], got {settings['threshold']}")
-    if "small_axis" in settings and settings["small_axis"] <= 0:
-        raise ConfigError(
-            f"small_axis must be positive, got {settings['small_axis']}")
+_FIELDS = _fields(ModelConfig, TrainConfig, SynthConfig, CrossvalConfig)
+# The configs each command reads, and their keys: only these are
+# applied and recorded. predict reads threshold alone.
+_COMMAND_SECTIONS = {"synth": (SynthConfig,), "train": (ModelConfig, TrainConfig),
+                     "predict": (EvalConfig,), "eval": (EvalConfig,),
+                     "crossval": (ModelConfig, TrainConfig, CrossvalConfig)}
+COMMAND_KEYS = {**{name: tuple(_fields(*sections))
+                   for name, sections in _COMMAND_SECTIONS.items()},
+                "predict": ("threshold",)}
 
 
 def project(settings: dict, section):
-    """The ``section`` config (ModelConfig, TrainConfig or SynthConfig)
-    holding ``settings``' values for its fields."""
-    return section(**{f.name: settings[_FLAT_KEYS.get(f.name, f.name)]
-                      for f in dataclasses.fields(section)})
+    """The ``section`` config holding ``settings``' values for its
+    fields; a field ``settings`` lacks keeps its default."""
+    keys = {_FLAT_KEYS.get(f.name, f.name): f.name
+            for f in dataclasses.fields(section)}
+    return section(**{name: settings[key] for key, name in keys.items()
+                      if key in settings})
 
 
 def _float_list(text: str) -> tuple[float, ...] | None:
@@ -100,9 +90,7 @@ def _float_pair(text: str) -> tuple[float, float]:
 
 
 def _arch_name(text: str) -> str:
-    if text not in ARCHITECTURES:
-        raise ValueError(f"arch must be {' or '.join(ARCHITECTURES)}, got {text!r}")
-    return text
+    return ModelConfig(arch=text).arch  # rejects an unknown name
 
 
 _TYPE_PARSERS = {int: int, float: float, tuple[float, float]: _float_pair,
@@ -134,8 +122,8 @@ def parse_config_text(text: str, source: str = "config") -> dict:
 
 def resolve_settings(args: argparse.Namespace) -> dict:
     """The keys ``args.command`` reads: defaults, then the --config file,
-    then explicit flags. File keys of other commands are parsed but not
-    applied."""
+    then explicit flags, checked by the configs that declare them. File
+    keys of other commands are parsed but not applied."""
     settings = {key: _FIELDS[key][1] for key in COMMAND_KEYS[args.command]}
     if args.config is not None:
         path = Path(args.config)
@@ -145,7 +133,11 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
-    _validate(settings)
+    try:
+        for section in _COMMAND_SECTIONS[args.command]:
+            project(settings, section)
+    except ValueError as exc:  # a subclass such as GeometryError keeps its name
+        raise ConfigError(exc) if type(exc) is ValueError else exc
     return settings
 
 
@@ -221,9 +213,7 @@ def cmd_predict(settings: dict, args: argparse.Namespace) -> None:
     _write_json(out_path.with_suffix(out_path.suffix + ".json"), {
         "command": "predict",
         "settings": settings,
-        "weights": {"arch": model.config.arch, "input_size": size,
-                    "base_filters": model.config.base_filters,
-                    "seed": model.config.seed},
+        "weights": dataclasses.asdict(model.config),
         "foreground_pixels": int(mask.sum()),
     })
     print(f"wrote mask with {int(mask.sum())} foreground pixels to {out_path}")
@@ -233,8 +223,7 @@ def cmd_eval(settings: dict, args: argparse.Namespace) -> None:
     model = load_weights(args.weights)
     samples = dataset_manifest(args.data_dir,
                                target_size=model.config.input_size)
-    report = evaluate(model, samples, threshold=settings["threshold"],
-                      small_axis=settings["small_axis"],
+    report = evaluate(model, samples, project(settings, EvalConfig),
                       provenance={"command": "eval", "settings": settings})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -248,8 +237,7 @@ def cmd_crossval(settings: dict, args: argparse.Namespace) -> None:
                                target_size=settings["input_size"])
     fold_reports, overall, histories = cross_validate(
         project(settings, ModelConfig), samples,
-        project(settings, TrainConfig), threshold=settings["threshold"],
-        small_axis=settings["small_axis"])
+        project(settings, TrainConfig), project(settings, CrossvalConfig))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "crossval.json", {

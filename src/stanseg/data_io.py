@@ -245,6 +245,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("axis_range", "axis_list", "lesion_intensity",
+                     "background_intensity", "noise_sigma", "rotation_range"):
+            value = getattr(self, name)
+            if not np.isfinite(value or ()).all():  # axis_list may be None
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.count < 0:
             raise ValueError(f"count must be non-negative, got {self.count}")
         if self.image_size < 4:

@@ -41,7 +41,23 @@ class EmptyMaskError(ValueError):
     """A boundary or axis query was made on an empty mask."""
 
 
-def binarize(prob_map: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+@dataclass(frozen=True)
+class EvalConfig:
+    """``threshold`` cuts probabilities into a mask (ties are foreground);
+    a lesion whose longest axis is at most ``small_axis`` is small."""
+
+    threshold: float = 0.5
+    small_axis: float = 120.0
+
+    def __post_init__(self):
+        if not 0.0 < self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+        if not 0.0 < self.small_axis < math.inf:
+            raise ValueError(
+                f"small_axis must be positive and finite, got {self.small_axis}")
+
+
+def binarize(prob_map: np.ndarray, threshold: float) -> np.ndarray:
     """Boolean mask of pixels with probability >= threshold (ties are
     foreground)."""
     return np.asarray(prob_map) >= threshold
@@ -184,8 +200,8 @@ def aggregate_rows(rows: list[ImageMetrics]) -> dict:
     return out
 
 
-def evaluate(model, samples, threshold: float = 0.5,
-             small_axis: float = 120.0, provenance: dict | None = None) -> MetricsReport:
+def evaluate(model, samples, cfg: EvalConfig = EvalConfig(),
+             provenance: dict | None = None) -> MetricsReport:
     """Forward each sample, binarize, and collect the seven metrics.
 
     Samples with empty ground truth are excluded (listed in the
@@ -202,7 +218,7 @@ def evaluate(model, samples, threshold: float = 0.5,
             continue
         with no_grad():
             out = model.forward(Tensor(sample.image[None, None, :, :]))
-        pred = binarize(out.data[0, 0], threshold)
+        pred = binarize(out.data[0, 0], cfg.threshold)
         tpr, fpr, ji, dsc, aer = region_metrics(pred, sample.mask)
         if pred.any():
             he, mae = boundary_errors(pred, sample.mask)
@@ -214,15 +230,12 @@ def evaluate(model, samples, threshold: float = 0.5,
         rows.append(ImageMetrics(
             sample_id=sample.id, tpr=tpr, fpr=fpr, ji=ji, dsc=dsc, aer=aer,
             he=he, mae=mae, longest_axis=gt_axis,
-            is_small=bool(gt_axis <= small_axis), pred_empty=pred_empty))
-    prov = dict(provenance or {})
-    cfg = model.config
-    prov.setdefault("arch", cfg.arch)
-    prov.setdefault("input_size", cfg.input_size)
-    prov.setdefault("base_filters", cfg.base_filters)
-    prov.setdefault("model_seed", cfg.seed)
-    prov.setdefault("threshold", threshold)
-    prov.setdefault("small_axis", small_axis)
+            is_small=bool(gt_axis <= cfg.small_axis), pred_empty=pred_empty))
+    model_cfg = model.config
+    prov = {"arch": model_cfg.arch, "input_size": model_cfg.input_size,
+            "base_filters": model_cfg.base_filters, "model_seed": model_cfg.seed,
+            "threshold": cfg.threshold, "small_axis": cfg.small_axis,
+            **(provenance or {})}
     return MetricsReport(rows=rows, aggregates=aggregate_rows(rows),
                          provenance=prov, excluded=excluded)
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .autodiff import ShapeMismatchError, Tensor, backward
 from .data_io import Sample
-from .metrics import MetricsReport, aggregate_rows, evaluate
+from .metrics import EvalConfig, MetricsReport, aggregate_rows, evaluate
 from .model import Model, ModelConfig, build_model, named_arrays
 
 
@@ -40,23 +40,32 @@ class TrainConfig:
     eps: float = 1e-8
     shift_fraction: float = 0.1
     seed: int = 0
-    folds: int = 5
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name, value in (("learning_rate", self.learning_rate),
+                            ("eps", self.eps)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if not 0.0 <= self.shift_fraction < 0.5:
             raise ValueError(
                 f"shift_fraction must be in [0, 0.5), got {self.shift_fraction}")
+
+
+@dataclass(frozen=True)
+class CrossvalConfig(EvalConfig):
+    """How each held-out fold is scored, and how many folds there are."""
+
+    folds: int = 5
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
 
@@ -152,7 +161,7 @@ def augment_shift(sample: Sample, shift_fraction: float, rng) -> Sample:
                    mask=_translate(sample.mask, dy, dx))
 
 
-def kfold_split(dataset, k: int = 5, seed: int = 0):
+def kfold_split(dataset, k: int, seed: int):
     """Shuffle ids and partition into k near-equal folds.
 
     Returns k (train_ids, test_ids) pairs, ids sorted within each side;
@@ -224,15 +233,14 @@ def fold_seed(seed: int, fold: int) -> int:
 
 
 def cross_validate(model_config: ModelConfig, dataset: list[Sample],
-                   cfg: TrainConfig, threshold: float = 0.5,
-                   small_axis: float = 120.0):
+                   cfg: TrainConfig, cv: CrossvalConfig = CrossvalConfig()):
     """Train one fresh model per fold and evaluate it on the held-out fold.
 
     Returns (fold_reports, overall_report, histories); the overall
     report aggregates the per-image rows of every fold, so each sample
     is evaluated exactly once.
     """
-    folds = kfold_split(dataset, cfg.folds, cfg.seed)
+    folds = kfold_split(dataset, cv.folds, cfg.seed)
     fold_reports = []
     histories = []
     all_rows = []
@@ -242,8 +250,7 @@ def cross_validate(model_config: ModelConfig, dataset: list[Sample],
         fold_model = build_model(replace(model_config, seed=seed))
         fold_cfg = replace(cfg, seed=seed)
         _, history = train(fold_model, [dataset[i] for i in train_ids], fold_cfg)
-        report = evaluate(fold_model, [dataset[i] for i in test_ids],
-                          threshold=threshold, small_axis=small_axis,
+        report = evaluate(fold_model, [dataset[i] for i in test_ids], cv,
                           provenance={"fold": fold, "fold_seed": seed})
         history.fold = fold
         history.validation = report
@@ -256,8 +263,7 @@ def cross_validate(model_config: ModelConfig, dataset: list[Sample],
         provenance={"arch": model_config.arch,
                     "input_size": model_config.input_size,
                     "base_filters": model_config.base_filters,
-                    "seed": cfg.seed, "folds": cfg.folds,
-                    "threshold": threshold, "small_axis": small_axis},
+                    "seed": cfg.seed, **asdict(cv)},
         excluded=all_excluded)
     return fold_reports, overall, histories
 

@@ -19,8 +19,9 @@ from stanseg.cli import (
     resolve_settings,
 )
 from stanseg.data_io import SynthConfig, read_pgm
+from stanseg.metrics import EvalConfig
 from stanseg.model import ModelConfig, build_model, save_weights
-from stanseg.training import TrainConfig
+from stanseg.training import CrossvalConfig, TrainConfig
 
 TINY = ["--input-size", "16", "--base-filters", "4", "--epochs", "2",
         "--batch-size", "2", "--seed", "11"]
@@ -103,7 +104,7 @@ class TestKeyTable:
     """The flat keys are derived from the library configs; each one must
     reach the config that consumes it."""
 
-    SECTIONS = (ModelConfig, TrainConfig, SynthConfig)
+    SECTIONS = (ModelConfig, TrainConfig, SynthConfig, CrossvalConfig)
     # every key set away from its default, valid for every section
     CHANGED = dict(
         arch="unet", input_size=32, base_filters=8, seed=9, epochs=12,
@@ -121,8 +122,7 @@ class TestKeyTable:
         keys = set().union(*COMMAND_KEYS.values())
         derived = {self.flat_key(f.name) for section in self.SECTIONS
                    for f in dataclasses.fields(section)}
-        assert keys == derived | {"threshold", "small_axis"}
-        assert keys == set(self.CHANGED)
+        assert keys == derived == set(self.CHANGED)
 
     def test_every_key_reaches_its_section(self):
         defaults = {}
@@ -138,7 +138,8 @@ class TestKeyTable:
 
     def test_default_run_projects_to_section_defaults(self):
         for section in self.SECTIONS:
-            command = "synth" if section is SynthConfig else "train"
+            command = {SynthConfig: "synth",
+                       CrossvalConfig: "crossval"}.get(section, "train")
             got = project(resolved(BARE_ARGV[command]), section)
             if section is SynthConfig:
                 # the flat input_size default is the model's 256, not
@@ -332,7 +333,7 @@ class TestCommandSettings:
                      ["crossval", str(data), str(cv)]):
             assert main([*argv, "--config", str(cfg)]) == 0, argv[0]
         train_keys = self.flat_keys(ModelConfig, TrainConfig)
-        evaluation = {"threshold", "small_axis"}
+        evaluation = self.flat_keys(EvalConfig)
         recorded = {
             "synth": (json.loads((data / "dataset.json").read_text())["settings"],
                       self.flat_keys(SynthConfig)),
@@ -343,11 +344,30 @@ class TestCommandSettings:
             "eval": (json.loads((rep / "report.json").read_text())
                      ["provenance"]["settings"], evaluation),
             "crossval": (json.loads((cv / "crossval.json").read_text())
-                         ["settings"], train_keys | evaluation),
+                         ["settings"],
+                         train_keys | self.flat_keys(CrossvalConfig)),
         }
         for command, (settings, keys) in recorded.items():
             assert set(settings) == keys == set(COMMAND_KEYS[command]), command
             assert settings == {k: values[k] for k in keys}, command
+
+    def test_train_neither_reads_nor_records_folds(self, pipeline, tmp_path,
+                                                   capsys):
+        # folds belongs to crossval alone: train ignores a value that
+        # crossval rejects
+        data, _ = pipeline
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("folds = 1\n")
+        run = tmp_path / "run"
+        assert main(["train", *TINY, str(data), str(run),
+                     "--config", str(cfg)]) == 0
+        history = json.loads((run / "history.json").read_text())
+        assert "folds" not in history["settings"]
+        capsys.readouterr()
+        assert main(["crossval", *TINY, str(data), str(tmp_path / "cv"),
+                     "--config", str(cfg)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("stanseg: error: ConfigError: folds")
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--arch", "unet", "w", "d", "o"],

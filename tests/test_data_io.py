@@ -1,5 +1,6 @@
 """PGM io, resizing, dataset pairing, and the synthetic phantom generator."""
 
+import math
 import time
 
 import numpy as np
@@ -300,6 +301,24 @@ class TestSynthConfig:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError, match="noise"):
             SynthConfig(noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"noise_sigma": math.nan},
+        {"lesion_intensity": math.inf},
+        {"background_intensity": math.nan},
+        {"rotation_range": (0.0, math.inf)},
+        {"axis_range": (4.0, math.nan)},
+        {"axis_list": (8.0, math.inf)},
+    ], ids=["noise_sigma-nan", "lesion_intensity-inf",
+            "background_intensity-nan", "rotation_range-inf",
+            "axis_range-nan", "axis_list-inf"])
+    def test_non_finite_values_rejected(self, kwargs):
+        # checked before the geometry, so an infinite axis is named as
+        # not finite rather than as too large for the frame
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be finite") as info:
+            SynthConfig(**kwargs)
+        assert type(info.value) is ValueError
 
 
 class TestEllipseMask:

@@ -16,6 +16,7 @@ from stanseg.data_io import Sample, ellipse_mask
 from stanseg.metrics import (
     EmptyGroundTruthError,
     EmptyMaskError,
+    EvalConfig,
     ImageMetrics,
     MetricsReport,
     aggregate_rows,
@@ -74,7 +75,7 @@ class TestBinarize:
         assert out.all()
 
     def test_zeros_give_empty_mask(self):
-        assert not binarize(np.zeros((4, 4))).any()
+        assert not binarize(np.zeros((4, 4)), 0.5).any()
 
     def test_complement_equals_strict_threshold_on_flipped_map(self):
         # p >= 0.5 iff not (1 - p > 0.5); exact because 1 - p is exact for
@@ -381,6 +382,25 @@ class TestAggregateRows:
         assert agg["large"]["tpr"] is None
 
 
+class TestEvalConfig:
+    # a threshold above 1 leaves every prediction empty; a negative or
+    # nan small_axis makes no lesion small
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold": 0.0},
+        {"threshold": 5.0},
+        {"threshold": math.nan},
+        {"small_axis": 0.0},
+        {"small_axis": -1.0},
+        {"small_axis": math.nan},
+        {"small_axis": math.inf},
+    ], ids=["threshold-0", "threshold-5", "threshold-nan", "small_axis-0",
+            "small_axis--1", "small_axis-nan", "small_axis-inf"])
+    def test_invalid_values_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            EvalConfig(**kwargs)
+
+
 class TestEvaluate:
     def test_perfect_model_on_every_metric(self):
         masks = []
@@ -411,7 +431,8 @@ class TestEvaluate:
         line = np.zeros((16, 16), dtype=bool)
         line[8, 2:13] = True  # 11 pixels: axis 10
         model = build_model(ModelConfig(input_size=16, base_filters=4))
-        report = evaluate(model, [mask_sample(line, "edge")], small_axis=10.0)
+        report = evaluate(model, [mask_sample(line, "edge")],
+                          EvalConfig(small_axis=10.0))
         assert report.rows[0].longest_axis == 10.0
         assert report.rows[0].is_small
         assert report.aggregates["small"]["n"] == 1
@@ -453,7 +474,7 @@ class TestEvaluate:
         g = np.zeros((16, 16), dtype=bool)
         g[3:6, 3:6] = True
         report = evaluate(identity_stub(), [mask_sample(g, "s")],
-                          threshold=0.4, provenance={"run": "t1"})
+                          EvalConfig(threshold=0.4), provenance={"run": "t1"})
         assert report.provenance["run"] == "t1"
         assert report.provenance["threshold"] == 0.4
         assert report.provenance["arch"] == "identity-stub"

@@ -2,6 +2,7 @@
 scalar recurrence, shift augmentation, fold splitting, and loop determinism."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from stanseg.data_io import Sample, SynthConfig, synth_generate
 from stanseg.model import ModelConfig, build_model, named_arrays
 from stanseg.training import (
     AdamState,
+    CrossvalConfig,
     MissingGradientError,
     TrainConfig,
     TrainHistory,
@@ -49,7 +51,7 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert (cfg.batch_size, cfg.epochs, cfg.learning_rate) == (4, 50, 1e-4)
         assert (cfg.beta1, cfg.beta2, cfg.eps) == (0.9, 0.999, 1e-8)
-        assert cfg.folds == 5 and cfg.shift_fraction == 0.1
+        assert cfg.shift_fraction == 0.1
 
     @pytest.mark.parametrize("kwargs", [
         {"batch_size": 0},
@@ -57,11 +59,13 @@ class TestTrainConfig:
         {"learning_rate": 0.0},
         {"shift_fraction": 0.5},
         {"shift_fraction": -0.1},
-        {"folds": 1},
         {"beta1": 1.0},
         {"beta1": -0.1},
         {"beta2": 1.0},
         {"eps": 0.0},
+        {"learning_rate": math.inf},
+        {"learning_rate": math.nan},
+        {"eps": math.inf},
     ])
     def test_invalid_values_rejected(self, kwargs):
         (name,) = kwargs
@@ -73,6 +77,23 @@ class TestTrainConfig:
         # the closed lower end of [0, 1) and [0, 0.5); shift 0 turns
         # augmentation off
         assert getattr(TrainConfig(**{name: 0.0}), name) == 0.0
+
+
+class TestCrossvalConfig:
+    def test_defaults(self):
+        assert CrossvalConfig() == CrossvalConfig(
+            threshold=0.5, small_axis=120.0, folds=5)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"folds": 1},
+        {"threshold": 0.0},
+        {"small_axis": math.inf},
+    ], ids=["folds-1", "threshold-0", "small_axis-inf"])
+    def test_invalid_values_rejected(self, kwargs):
+        # the evaluation settings keep EvalConfig's checks
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            CrossvalConfig(**kwargs)
 
 
 class TestDiceLoss:
@@ -357,10 +378,10 @@ class TestTrainLoop:
 class TestCrossValidate:
     def test_every_sample_evaluated_exactly_once(self):
         data = tiny_dataset(n=6, seed=11)
-        cfg = TrainConfig(epochs=1, batch_size=2, folds=3, seed=5)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=5)
         fold_reports, overall, histories = cross_validate(
             ModelConfig(input_size=16, base_filters=4, arch="unet", seed=0),
-            data, cfg)
+            data, cfg, CrossvalConfig(folds=3))
         assert len(fold_reports) == 3 and len(histories) == 3
         ids = sorted(r.sample_id for rep in fold_reports for r in rep.rows)
         assert ids == sorted(s.id for s in data)
@@ -368,20 +389,20 @@ class TestCrossValidate:
 
     def test_aggregate_is_mean_of_rows(self):
         data = tiny_dataset(n=4, seed=12)
-        cfg = TrainConfig(epochs=1, batch_size=2, folds=2, seed=6)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=6)
         _, overall, _ = cross_validate(
             ModelConfig(input_size=16, base_filters=4, arch="unet", seed=0),
-            data, cfg)
+            data, cfg, CrossvalConfig(folds=2))
         tprs = [r.tpr for r in overall.rows]
         assert overall.aggregates["all"]["tpr"] == pytest.approx(np.mean(tprs))
         assert overall.aggregates["all"]["n"] == 4
 
     def test_aer_identity_on_every_row(self):
         data = tiny_dataset(n=4, seed=13)
-        cfg = TrainConfig(epochs=1, batch_size=2, folds=2, seed=7)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=7)
         fold_reports, overall, _ = cross_validate(
             ModelConfig(input_size=16, base_filters=4, arch="unet", seed=0),
-            data, cfg)
+            data, cfg, CrossvalConfig(folds=2))
         for rep in fold_reports + [overall]:
             for r in rep.rows:
                 assert r.aer == r.fpr + (1.0 - r.tpr)
@@ -393,10 +414,10 @@ class TestCrossValidate:
 
     def test_histories_carry_fold_and_validation(self):
         data = tiny_dataset(n=4, seed=14)
-        cfg = TrainConfig(epochs=1, batch_size=2, folds=2, seed=8)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=8)
         _, _, histories = cross_validate(
             ModelConfig(input_size=16, base_filters=4, arch="unet", seed=0),
-            data, cfg)
+            data, cfg, CrossvalConfig(folds=2))
         assert [h.fold for h in histories] == [0, 1]
         assert all(h.validation is not None for h in histories)
 
