@@ -5,7 +5,8 @@ networks need: same-padded convolution, 2x2 max pooling, stride-2
 transposed convolution, channel concatenation, relu/sigmoid, and the
 elementwise arithmetic + global sum used by the dice loss. Tensors are
 value-semantic; a computation graph is recorded only while gradients
-are enabled and is consumed by a single backward pass.
+are enabled, and a single backward pass consumes it, releasing each
+node once it has run.
 
 A convolution copies its input once into a flat zero-padded grid, whose tap view
 holds each tap of a run of positions as one window (MEC, Cho & Brand 2017); blocks
@@ -29,7 +30,7 @@ class ShapeMismatchError(ValueError):
 
 
 class GraphConsumedError(RuntimeError):
-    """backward() was called twice on the same computation graph."""
+    """backward() reached a node that an earlier backward() has run and released."""
 
 
 _grad_enabled = True
@@ -53,16 +54,16 @@ class _Node:
     """Producing operation of a non-leaf tensor.
 
     ``backward_fn(grad_out)`` returns one gradient array per parent
-    (None for parents that do not need one).
+    (None for parents that do not need one). backward() sets it to None,
+    and ``parents`` to (), once it has run.
     """
 
-    __slots__ = ("op", "parents", "backward_fn", "consumed")
+    __slots__ = ("op", "parents", "backward_fn")
 
     def __init__(self, op: str, parents: tuple, backward_fn: Callable):
         self.op = op
         self.parents = parents
         self.backward_fn = backward_fn
-        self.consumed = False
 
 
 class Tensor:
@@ -373,8 +374,9 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode gradient propagation from a scalar loss.
 
     Populates ``grad`` on every requires_grad leaf reachable from
-    ``loss``. The graph is consumed: a second call on the same graph
-    raises :class:`GraphConsumedError`.
+    ``loss``. Each node is released once it has run, so the graph's
+    memory goes as the pass goes; a second call on the same graph, or on
+    a graph built on one of its tensors, raises :class:`GraphConsumedError`.
     """
     if loss.size != 1:
         raise ShapeMismatchError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -382,12 +384,10 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             loss.grad = np.ones_like(loss.data)
         return
-    if loss.node.consumed:
-        raise GraphConsumedError("this computation graph has already been differentiated")
 
     # iterative post-order over tensors that carry nodes
     order: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[int] = set()  # ids: a set of tensors would keep each alive to the end
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         t, expanded = stack.pop()
@@ -396,32 +396,24 @@ def backward(loss: Tensor) -> None:
             continue
         if id(t) in visited:
             continue
+        if t.node.backward_fn is None:
+            raise GraphConsumedError(f"a {t.node.op} node has already been differentiated")
         visited.add(id(t))
         stack.append((t, True))
         for p in t.node.parents:
             if p.node is not None and id(p) not in visited:
                 stack.append((p, False))
 
-    # fresh gradient buffers for this pass
-    for t in order:
-        t.grad = None
-        for p in t.node.parents:
-            if p.node is None and p.requires_grad:
-                p.grad = None
-    loss.grad = np.ones_like(loss.data)
-
-    for t in reversed(order):
-        node = t.node
-        node.consumed = True
-        if t.grad is None:
-            continue
-        parent_grads = node.backward_fn(t.grad)
-        for p, pg in zip(node.parents, parent_grads):
-            if pg is None or not _needs_grad(p):
-                continue
-            p.grad = pg if p.grad is None else p.grad + pg
-
-    # keep gradients only on leaves
-    for t in order:
-        if not t.requires_grad:
-            t.grad = None
+    # Tensor defines no __eq__, so its dict keys compare by identity
+    grads = {loss: np.ones_like(loss.data)}
+    while order:
+        t = order.pop()
+        node, g = t.node, grads.pop(t)  # a tensor with a node always gets a gradient
+        backward_fn, parents = node.backward_fn, node.parents
+        node.backward_fn, node.parents = None, ()
+        for p, pg in zip(parents, backward_fn(g)):
+            if pg is not None and _needs_grad(p):
+                # out of place: add's backward hands both parents the same array
+                grads[p] = grads[p] + pg if p in grads else pg
+    for leaf, g in grads.items():  # only leaves are left
+        leaf.grad = g

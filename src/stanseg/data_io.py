@@ -225,7 +225,7 @@ def dataset_manifest(directory, target_size: int | None = None) -> list[Sample]:
 
 # --------------------------------------------------------------- synthesis
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     """Phantom generator settings.
 

@@ -113,7 +113,7 @@ def dice_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 def adam_step(model: Model, state: AdamState, cfg: TrainConfig) -> None:
     """One in-place bias-corrected Adam update from the gradients stored on
-    the model parameters."""
+    the model parameters, which it consumes: each ``grad`` is None after."""
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     # scalar bias corrections in python floats keep runs bit-reproducible
@@ -123,6 +123,7 @@ def adam_step(model: Model, state: AdamState, cfg: TrainConfig) -> None:
         g = tensor.grad
         if g is None:
             raise MissingGradientError(f"no gradient for {name}")
+        tensor.grad = None
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -220,7 +221,6 @@ def train(model: Model, dataset: list[Sample], cfg: TrainConfig):
                     f"non-finite loss {value} at epoch {epoch}, step {step}")
             backward(loss)
             adam_step(model, state, cfg)
-            del loss  # its graph would otherwise live through the next forward pass
             step_losses.append(value)
         history.epoch_losses.append(float(np.mean(step_losses)))
         history.epoch_seconds.append(time.perf_counter() - started)

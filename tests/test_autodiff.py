@@ -370,6 +370,15 @@ class TestBackward:
         with pytest.raises(GraphConsumedError):
             backward(loss)
 
+    def test_graph_built_on_a_consumed_intermediate_rejected(self):
+        # backward released y's node, so a second graph through y has
+        # nothing left to differentiate y by
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x * x
+        backward(y.sum())
+        with pytest.raises(GraphConsumedError):
+            backward((y * x).sum())
+
     def test_grads_overwritten_not_accumulated_across_graphs(self):
         x = Tensor(np.ones(3), requires_grad=True)
         backward((x * x).sum())

@@ -470,6 +470,8 @@ class TestErrorContract:
             main(["train", "d", "o", "--momentum", "0.9"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_diverged_training_is_reported(self, tmp_path, capsys):
         data = tmp_path / "data"
         main(["synth", "--count", "2", *SYNTH_TINY, *AXES, str(data)])

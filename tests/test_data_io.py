@@ -1,5 +1,6 @@
 """PGM io, resizing, dataset pairing, and the synthetic phantom generator."""
 
+import dataclasses
 import math
 import time
 
@@ -297,6 +298,13 @@ class TestSynthConfig:
     def test_oversized_axis_list_rejected(self):
         with pytest.raises(GeometryError):
             SynthConfig(image_size=32, axis_list=(40.0,))
+
+    def test_fields_cannot_be_assigned(self):
+        # an assignment would skip the checks above: an empty axis_list
+        # set after construction made synth_generate divide by zero
+        cfg = SynthConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.axis_list = ()
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError, match="noise"):

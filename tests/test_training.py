@@ -21,6 +21,7 @@ from stanseg.training import (
     TrainConfig,
     TrainHistory,
     TrainingDivergedError,
+    _assemble_batch,
     _translate,
     adam_step,
     augment_shift,
@@ -205,6 +206,16 @@ class TestAdamStep:
         with pytest.raises(MissingGradientError, match="weights|bias"):
             adam_step(model, AdamState.for_model(model), TrainConfig())
 
+    def test_gradients_are_consumed(self):
+        model = tiny_model()
+        x, g = _assemble_batch(tiny_dataset(n=2), [0, 1], 0, TrainConfig())
+        backward(dice_loss(model.forward(x), g))
+        state = AdamState.for_model(model)
+        adam_step(model, state, TrainConfig())
+        assert all(t.grad is None for _, t in named_arrays(model))
+        with pytest.raises(MissingGradientError):
+            adam_step(model, state, TrainConfig())
+
 
 def blob_sample(size=16):
     mask = np.zeros((size, size), dtype=bool)
@@ -341,8 +352,9 @@ class TestTrainLoop:
         assert all(np.isfinite(history.epoch_losses))
 
     def test_second_step_peaks_like_the_first(self):
-        # a step's graph must be gone before the next forward pass; kept
-        # alive, it raises the two-step peak by about 4% at this size
+        # a step's graph and gradients must be gone before the next forward
+        # pass: backward releases the graph as it runs and adam_step drops
+        # the gradients; either kept alive raises the two-step peak
         data = tiny_dataset(n=4, seed=12, size=32)
         peaks = []
         for steps in (1, 2):
@@ -354,6 +366,27 @@ class TestTrainLoop:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.01 * peaks[0]
+
+    @pytest.mark.parametrize("arch", ["stan", "unet"])
+    def test_backward_releases_the_graph_as_it_runs(self, arch):
+        # with the loss still referenced, only the parameters' gradients
+        # may outlive backward, and each node's arrays go once it has run,
+        # so backward never holds a second graph's worth on top of the first
+        model = build_model(ModelConfig(input_size=32, base_filters=4, arch=arch, seed=0))
+        x, g = _assemble_batch(tiny_dataset(n=2, seed=13, size=32), [0, 1], 0, TrainConfig())
+        grad_bytes = sum(t.data.nbytes for _, t in named_arrays(model))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss = dice_loss(model.forward(x), g)
+            graph = tracemalloc.get_traced_memory()[0] - start
+            tracemalloc.reset_peak()
+            backward(loss)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - start <= grad_bytes + 2**18
+        assert peak - (start + graph) <= 0.6 * graph
 
     def test_non_finite_loss_aborts_with_location(self):
         model = tiny_model()
