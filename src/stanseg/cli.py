@@ -18,19 +18,16 @@ import sys
 import typing
 from pathlib import Path
 
-from .autodiff import Tensor, no_grad
 from .data_io import (
     SynthConfig,
-    bilinear_resize,
     dataset_manifest,
-    nearest_resize,
     read_pgm,
     save_image,
     save_mask,
     synth_generate,
 )
-from .metrics import (EvalConfig, binarize, evaluate, report_to_csv,
-                      report_to_json)
+from .metrics import (METRIC_NAMES, EvalConfig, evaluate, report_to_csv,
+                      report_to_json, segment)
 from .model import ModelConfig, build_model, load_weights, save_weights
 from .training import (CrossvalConfig, TrainConfig, cross_validate,
                        history_to_dict, train)
@@ -144,7 +141,6 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------- commands
 
 _TABLE_COLUMNS = ("TPR", "FPR", "JI", "DSC", "AER", "AHE", "AME")
-_TABLE_SOURCES = ("tpr", "fpr", "ji", "dsc", "aer", "he", "mae")
 
 
 def format_table(aggregates: dict) -> str:
@@ -155,7 +151,7 @@ def format_table(aggregates: dict) -> str:
     for name in ("all", "small", "large"):
         entry = aggregates[name]
         cells = [f"{name:<8}", f"{entry['n']:>4}"]
-        for src in _TABLE_SOURCES:
+        for src in METRIC_NAMES:
             v = entry[src]
             cells.append(f"{v:>8.3f}" if v is not None else f"{'-':>8}")
         lines.append(" ".join(cells))
@@ -182,8 +178,7 @@ def cmd_synth(settings: dict, args: argparse.Namespace) -> None:
 
 
 def cmd_train(settings: dict, args: argparse.Namespace) -> None:
-    samples = dataset_manifest(args.data_dir,
-                               target_size=settings["input_size"])
+    samples = dataset_manifest(args.data_dir)
     model = build_model(project(settings, ModelConfig))
     model, history = train(model, samples, project(settings, TrainConfig))
     out = Path(args.out_dir)
@@ -199,15 +194,7 @@ def cmd_train(settings: dict, args: argparse.Namespace) -> None:
 
 def cmd_predict(settings: dict, args: argparse.Namespace) -> None:
     model = load_weights(args.weights)
-    size = model.config.input_size
-    image = read_pgm(args.image) / 255.0
-    native = image.shape
-    net_in = image if native == (size, size) else bilinear_resize(image, size, size)
-    with no_grad():
-        out = model.forward(Tensor(net_in[None, None, :, :]))
-    mask = binarize(out.data[0, 0], settings["threshold"])
-    if native != (size, size):
-        mask = nearest_resize(mask, *native)
+    mask = segment(model, read_pgm(args.image) / 255.0, settings["threshold"])
     out_path = Path(args.out_mask)
     save_mask(mask, out_path)
     _write_json(out_path.with_suffix(out_path.suffix + ".json"), {
@@ -221,8 +208,7 @@ def cmd_predict(settings: dict, args: argparse.Namespace) -> None:
 
 def cmd_eval(settings: dict, args: argparse.Namespace) -> None:
     model = load_weights(args.weights)
-    samples = dataset_manifest(args.data_dir,
-                               target_size=model.config.input_size)
+    samples = dataset_manifest(args.data_dir)
     report = evaluate(model, samples, project(settings, EvalConfig),
                       provenance={"command": "eval", "settings": settings})
     out = Path(args.out_dir)
@@ -233,8 +219,7 @@ def cmd_eval(settings: dict, args: argparse.Namespace) -> None:
 
 
 def cmd_crossval(settings: dict, args: argparse.Namespace) -> None:
-    samples = dataset_manifest(args.data_dir,
-                               target_size=settings["input_size"])
+    samples = dataset_manifest(args.data_dir)
     fold_reports, overall, histories = cross_validate(
         project(settings, ModelConfig), samples,
         project(settings, TrainConfig), project(settings, CrossvalConfig))

@@ -2,10 +2,11 @@
 
 The on-disk image format is 8-bit binary PGM (P5, maxval 255). A
 dataset directory pairs ``<stem>.pgm`` with ``<stem>_mask.pgm``; masks
-hold only the values 0 and 255. Images are bilinearly resized and
-scaled to [0,1]; masks are resized by nearest neighbour so they stay
-binary. Both resizers sample at pixel centres, so resizing to the
-native size is an exact identity.
+hold only the values 0 and 255. Loading keeps each image's native size
+and scales it to [0,1]. Only ``fit_sample`` (for training) and
+``metrics.segment`` resize: images bilinearly, masks by nearest
+neighbour so they stay binary. Both resizers sample at pixel centres,
+so resizing to the native size is an exact identity.
 
 The phantom generator draws one rotated-ellipse lesion per image,
 darker than the background, multiplies in speckle noise, and keeps the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,6 @@ class Sample:
     id: str
     image: np.ndarray
     mask: np.ndarray
-    native_size: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         if self.image.shape != self.mask.shape:
@@ -159,13 +159,21 @@ def nearest_resize(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return mask[np.ix_(si, sj)]
 
 
+def fit_sample(sample: Sample, size: int) -> Sample:
+    """``sample`` at ``size`` x ``size``: the image resized bilinearly, the
+    mask by nearest neighbour. A sample already that size is returned
+    as it is."""
+    if sample.image.shape == (size, size):
+        return sample
+    return replace(sample, image=bilinear_resize(sample.image, size, size),
+                   mask=nearest_resize(sample.mask, size, size))
+
+
 # ------------------------------------------------------------------ loading
 
-def load_sample(image_path, mask_path, target_size: int | None = None) -> Sample:
-    """Load an (image, mask) PGM pair, scale to [0,1], and resize.
-
-    ``target_size`` of None keeps the native dimensions.
-    """
+def load_sample(image_path, mask_path) -> Sample:
+    """Load an (image, mask) PGM pair at its native size: the image scaled
+    to [0,1], the mask boolean."""
     img8 = read_pgm(image_path)
     msk8 = read_pgm(mask_path)
     if img8.shape != msk8.shape:
@@ -175,13 +183,8 @@ def load_sample(image_path, mask_path, target_size: int | None = None) -> Sample
     if bad.size:
         raise MaskNotBinaryError(
             f"{mask_path}: mask holds non-binary values {bad.tolist()[:5]}")
-    image = img8 / 255.0
-    mask = msk8 == 255
-    if target_size is not None:
-        image = bilinear_resize(image, target_size, target_size)
-        mask = nearest_resize(mask, target_size, target_size)
-    return Sample(id=Path(image_path).stem, image=image, mask=mask,
-                  native_size=img8.shape)
+    return Sample(id=Path(image_path).stem, image=img8 / 255.0,
+                  mask=msk8 == 255)
 
 
 def save_mask(mask: np.ndarray, path) -> None:
@@ -194,9 +197,9 @@ def save_image(image: np.ndarray, path) -> None:
     write_pgm(path, np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8))
 
 
-def dataset_manifest(directory, target_size: int | None = None) -> list[Sample]:
+def dataset_manifest(directory) -> list[Sample]:
     """Load every ``<stem>.pgm`` + ``<stem>_mask.pgm`` pair under
-    ``directory``, in lexicographic stem order."""
+    ``directory`` at its native size, in lexicographic stem order."""
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"{directory}: no such dataset directory")
@@ -217,8 +220,7 @@ def dataset_manifest(directory, target_size: int | None = None) -> list[Sample]:
             parts.append(f"masks without images: {missing_images}")
         raise UnpairedFilesError(f"{directory}: " + "; ".join(parts))
     return [
-        load_sample(directory / f"{stem}.pgm", directory / f"{stem}_mask.pgm",
-                    target_size)
+        load_sample(directory / f"{stem}.pgm", directory / f"{stem}_mask.pgm")
         for stem in sorted(stems)
     ]
 
@@ -263,10 +265,12 @@ class SynthConfig:
                 self.axis_list and all(a > 0 for a in self.axis_list)):
             raise ValueError(
                 f"axis_list must be non-empty with positive entries, got {self.axis_list}")
+        # the centre is drawn from [a + 1, size - 1 - (a + 1)]
         largest = max(self.axis_list) / 2.0 if self.axis_list else hi
-        if 2.0 * largest >= self.image_size:
+        if self.image_size - 1.0 - (largest + 1.0) < largest + 1.0:
             raise GeometryError(
-                f"semi-axis {largest} cannot fit in a {self.image_size}px frame")
+                f"semi-axis {largest} leaves no room for the centre in a "
+                f"{self.image_size}px frame")
 
 
 def ellipse_mask(size: int, cy: float, cx: float, ry: float, rx: float,
@@ -300,10 +304,6 @@ def synth_generate(cfg: SynthConfig) -> list[Sample]:
             lo, hi = cfg.axis_range
             a, b = sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)), reverse=True)
         margin = a + 1.0
-        if size - 1.0 - margin < margin:
-            raise GeometryError(
-                f"sample {i}: semi-axis {a} leaves no room for the centre "
-                f"in a {size}px frame")
         theta = rng.uniform(*cfg.rotation_range)
         cy = rng.uniform(margin, size - 1.0 - margin)
         cx = rng.uniform(margin, size - 1.0 - margin)
@@ -311,6 +311,5 @@ def synth_generate(cfg: SynthConfig) -> list[Sample]:
         image = np.where(mask, cfg.lesion_intensity, cfg.background_intensity)
         noise = rng.standard_normal((size, size))
         image = np.clip(image * (1.0 + cfg.noise_sigma * noise), 0.0, 1.0)
-        samples.append(Sample(id=f"synth{i:03d}", image=image, mask=mask,
-                              native_size=(size, size)))
+        samples.append(Sample(id=f"synth{i:03d}", image=image, mask=mask))
     return samples

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import ShapeMismatchError, Tensor, no_grad
+from .data_io import bilinear_resize, nearest_resize
 
 METRIC_NAMES = ("tpr", "fpr", "ji", "dsc", "aer", "he", "mae")
 
@@ -61,6 +62,17 @@ def binarize(prob_map: np.ndarray, threshold: float) -> np.ndarray:
     """Boolean mask of pixels with probability >= threshold (ties are
     foreground)."""
     return np.asarray(prob_map) >= threshold
+
+
+def segment(model, image: np.ndarray, threshold: float) -> np.ndarray:
+    """Boolean mask of a 2-D [0,1] ``image``, at the image's own size: the
+    image is resized bilinearly to the model's input size, forwarded
+    without a graph and binarized; the mask is resized back by nearest
+    neighbour."""
+    size = model.config.input_size
+    with no_grad():
+        out = model.forward(Tensor(bilinear_resize(image, size, size)[None, None]))
+    return nearest_resize(binarize(out.data[0, 0], threshold), *image.shape)
 
 
 def region_metrics(pred: np.ndarray, gt: np.ndarray):
@@ -202,9 +214,11 @@ def aggregate_rows(rows: list[ImageMetrics]) -> dict:
 
 def evaluate(model, samples, cfg: EvalConfig = EvalConfig(),
              provenance: dict | None = None) -> MetricsReport:
-    """Forward each sample, binarize, and collect the seven metrics.
+    """Segment each sample and collect the seven metrics.
 
-    Samples with empty ground truth are excluded (listed in the
+    Every metric, the longest axis and so the small/large stratum are
+    measured at the sample's native size, whatever the model's input
+    size. Samples with empty ground truth are excluded (listed in the
     report). An empty prediction keeps its area metrics and records the
     image diagonal as a flagged sentinel for the boundary metrics.
     """
@@ -216,9 +230,7 @@ def evaluate(model, samples, cfg: EvalConfig = EvalConfig(),
         except EmptyMaskError:
             excluded.append(sample.id)
             continue
-        with no_grad():
-            out = model.forward(Tensor(sample.image[None, None, :, :]))
-        pred = binarize(out.data[0, 0], cfg.threshold)
+        pred = segment(model, sample.image, cfg.threshold)
         tpr, fpr, ji, dsc, aer = region_metrics(pred, sample.mask)
         if pred.any():
             he, mae = boundary_errors(pred, sample.mask)

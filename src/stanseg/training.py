@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .autodiff import ShapeMismatchError, Tensor, backward
-from .data_io import Sample
+from .data_io import Sample, fit_sample
 from .metrics import EvalConfig, MetricsReport, aggregate_rows, evaluate
 from .model import Model, ModelConfig, build_model, named_arrays
 
@@ -113,16 +113,19 @@ def dice_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 def adam_step(model: Model, state: AdamState, cfg: TrainConfig) -> None:
     """One in-place bias-corrected Adam update from the gradients stored on
-    the model parameters, which it consumes: each ``grad`` is None after."""
+    the model parameters, which it consumes: each ``grad`` is None after.
+    A missing gradient is reported before any state changes."""
+    arrays = list(named_arrays(model))
+    for name, tensor in arrays:
+        if tensor.grad is None:
+            raise MissingGradientError(f"no gradient for {name}")
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     # scalar bias corrections in python floats keep runs bit-reproducible
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for name, tensor in named_arrays(model):
+    for name, tensor in arrays:
         g = tensor.grad
-        if g is None:
-            raise MissingGradientError(f"no gradient for {name}")
         tensor.grad = None
         m = state.m[name]
         v = state.v[name]
@@ -196,12 +199,11 @@ def _assemble_batch(samples, indices, epoch: int, cfg: TrainConfig):
 
 def train(model: Model, dataset: list[Sample], cfg: TrainConfig):
     """Run the full loop: per epoch, shuffle, then for each batch augment,
-    forward, dice loss, backward, Adam. Returns (model, history)."""
-    size = model.config.input_size
-    for s in dataset:
-        if s.image.shape != (size, size):
-            raise ShapeMismatchError(
-                f"sample {s.id!r} is {s.image.shape}, model wants {(size, size)}")
+    forward, dice loss, backward, Adam. Returns (model, history).
+
+    Each sample is first fitted to the model's input size by
+    ``fit_sample``; samples already that size are used as they are."""
+    dataset = [fit_sample(s, model.config.input_size) for s in dataset]
     if not dataset and cfg.epochs > 0:
         raise ValueError("cannot train on an empty dataset")
     state = AdamState.for_model(model)

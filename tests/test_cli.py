@@ -2,6 +2,7 @@
 synth/train/predict/eval pipeline, determinism of artifacts, and the
 error contract (exit 1, one structured stderr line)."""
 
+import csv
 import dataclasses
 import json
 
@@ -18,8 +19,8 @@ from stanseg.cli import (
     project,
     resolve_settings,
 )
-from stanseg.data_io import SynthConfig, read_pgm
-from stanseg.metrics import EvalConfig
+from stanseg.data_io import SynthConfig, dataset_manifest, read_pgm
+from stanseg.metrics import EvalConfig, region_metrics
 from stanseg.model import ModelConfig, build_model, save_weights
 from stanseg.training import CrossvalConfig, TrainConfig
 
@@ -284,6 +285,58 @@ class TestEvalCommand:
         assert read_tree(tmp_path / "r1") == read_tree(tmp_path / "r2")
 
 
+def report_rows(out):
+    with open(out / "report.csv", newline="") as f:
+        return list(csv.DictReader(f))
+
+
+class TestNativeResolution:
+    """eval scores, and predict writes masks, at each image's own size."""
+
+    def test_axis_and_stratum_do_not_depend_on_input_size(self, tmp_path):
+        # 140 and 200 px lesions are large (small_axis 120) in their own
+        # pixels, but measured in a 64 px model's pixels both read small
+        data = tmp_path / "data"
+        assert main(["synth", "--count", "2", "--input-size", "256", "--seed",
+                     "9", "--axis-list", "140,200", str(data)]) == 0
+        columns = []
+        for size in (64, 256):
+            weights = tmp_path / f"w{size}.bin"
+            save_weights(build_model(ModelConfig(input_size=size,
+                                                 base_filters=4)), weights)
+            out = tmp_path / f"report{size}"
+            assert main(["eval", str(weights), str(data), str(out)]) == 0
+            columns.append([(r["longest_axis"], r["is_small"])
+                            for r in report_rows(out)])
+        assert columns[0] == columns[1]
+        assert [small for _, small in columns[0]] == ["False", "False"]
+
+    def test_predict_and_eval_agree(self, tmp_path):
+        # 48 px images and a 32 px model; a threshold of 0.3 leaves this
+        # briefly trained model's masks neither empty nor full
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        weights = str(run / "weights.bin")
+        assert main(["synth", "--count", "2", "--input-size", "48", "--seed",
+                     "5", str(data)]) == 0
+        assert main(["train", "--input-size", "32", "--base-filters", "4",
+                     "--epochs", "2", "--batch-size", "2", str(data),
+                     str(run)]) == 0
+        assert main(["eval", "--threshold", "0.3", weights, str(data),
+                     str(tmp_path / "report")]) == 0
+        rows = report_rows(tmp_path / "report")
+        for sample, row in zip(dataset_manifest(data), rows):
+            out_mask = tmp_path / f"{sample.id}_pred.pgm"
+            assert main(["predict", "--threshold", "0.3", weights,
+                         str(data / f"{sample.id}.pgm"), str(out_mask)]) == 0
+            pred = read_pgm(out_mask) == 255
+            assert pred.shape == sample.mask.shape == (48, 48)
+            assert 0 < pred.sum() < pred.size
+            expected = region_metrics(pred, sample.mask)
+            got = tuple(float(row[c]) for c in ("TPR", "FPR", "JI", "DSC", "AER"))
+            assert row["id"] == sample.id and got == expected
+
+
 class TestCrossvalCommand:
     def test_five_folds_cover_every_sample(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -450,6 +503,15 @@ class TestErrorContract:
             ["synth", "--input-size", "32", "--axis-list", "100",
              str(tmp_path / "d")],
             "GeometryError")
+
+    def test_lesion_without_room_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        self.check_error(
+            capsys,
+            ["synth", "--count", "1", "--input-size", "16", "--axis-list",
+             "13.5", str(out)],
+            "no room for the centre")
+        assert not out.exists()
 
     @pytest.mark.parametrize("config_text, argv, key", [
         ("noise_sigma = nan\n", ["synth", "d"], "noise_sigma"),

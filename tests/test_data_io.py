@@ -18,6 +18,7 @@ from stanseg.data_io import (
     bilinear_resize,
     dataset_manifest,
     ellipse_mask,
+    fit_sample,
     load_sample,
     nearest_resize,
     read_pgm,
@@ -174,20 +175,9 @@ class TestLoadSample:
         ip, mp = self.write_pair(tmp_path, img8, msk8)
         s = load_sample(ip, mp)
         assert s.id == "case"
-        assert s.native_size == (10, 10)
+        assert s.image.shape == (10, 10)
         np.testing.assert_array_equal(s.image, img8 / 255.0)
         np.testing.assert_array_equal(s.mask, msk8 == 255)
-
-    def test_resized_load_matches_resizers(self, tmp_path):
-        rng = np.random.default_rng(7)
-        img8 = rng.integers(0, 256, (6, 6), dtype=np.uint8)
-        msk8 = np.where(rng.random((6, 6)) < 0.5, 255, 0).astype(np.uint8)
-        ip, mp = self.write_pair(tmp_path, img8, msk8)
-        s = load_sample(ip, mp, target_size=9)
-        assert s.image.shape == s.mask.shape == (9, 9)
-        assert s.native_size == (6, 6)
-        np.testing.assert_array_equal(s.image, bilinear_resize(img8 / 255.0, 9, 9))
-        np.testing.assert_array_equal(s.mask, nearest_resize(msk8 == 255, 9, 9))
 
     def test_gray_mask_value_rejected(self, tmp_path):
         img8 = np.zeros((4, 4), dtype=np.uint8)
@@ -213,6 +203,19 @@ class TestLoadSample:
         np.testing.assert_array_equal(s.mask, mask)
         # the image survives up to 8-bit quantization
         np.testing.assert_array_equal(s.image, np.rint(image * 255.0) / 255.0)
+
+
+class TestFitSample:
+    def test_fit_matches_resizers(self):
+        rng = np.random.default_rng(7)
+        image = rng.random((6, 8))
+        mask = rng.random((6, 8)) < 0.5
+        s = fit_sample(Sample(id="case", image=image, mask=mask), 9)
+        assert s.id == "case"
+        np.testing.assert_array_equal(s.image, bilinear_resize(image, 9, 9))
+        np.testing.assert_array_equal(s.mask, nearest_resize(mask, 9, 9))
+        # a sample already at the size is neither copied nor changed
+        assert fit_sample(s, 9) is s
 
 
 class TestSampleValidation:
@@ -256,21 +259,16 @@ class TestManifest:
         with pytest.raises(FileNotFoundError, match="nowhere"):
             dataset_manifest(tmp_path / "nowhere")
 
-    def test_target_size_applies_to_all(self, tmp_path):
-        self.fill(tmp_path, ["a", "b"])
-        samples = dataset_manifest(tmp_path, target_size=12)
-        assert all(s.image.shape == (12, 12) for s in samples)
-        assert all(s.mask.shape == (12, 12) for s in samples)
-
 
 class TestSynthConfig:
     def test_defaults_validate(self):
         SynthConfig()
 
     def test_smallest_image_size_accepted(self):
-        assert SynthConfig(image_size=4, axis_range=(1.0, 1.0)).image_size == 4
+        # a 0.5 px semi-axis is the largest lesion with room in 4 px
+        assert SynthConfig(image_size=4, axis_range=(0.5, 0.5)).image_size == 4
         with pytest.raises(ValueError, match="image_size"):
-            SynthConfig(image_size=3, axis_range=(1.0, 1.0))
+            SynthConfig(image_size=3, axis_range=(0.5, 0.5))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="count"):
@@ -298,6 +296,14 @@ class TestSynthConfig:
     def test_oversized_axis_list_rejected(self):
         with pytest.raises(GeometryError):
             SynthConfig(image_size=32, axis_list=(40.0,))
+
+    def test_axis_without_room_for_centre_rejected(self):
+        # 2a < image_size, but a centre at least a + 1 from each edge
+        # does not exist; every sample would be rejected
+        with pytest.raises(GeometryError, match="no room for the centre"):
+            SynthConfig(count=1, image_size=16, axis_list=(13.5,))
+        with pytest.raises(GeometryError, match="no room for the centre"):
+            SynthConfig(image_size=16, axis_range=(6.0, 6.75))
 
     def test_fields_cannot_be_assigned(self):
         # an assignment would skip the checks above: an empty axis_list
@@ -368,7 +374,7 @@ class TestSynthGenerate:
         samples = synth_generate(SynthConfig(count=3, image_size=24,
                                              axis_range=(3.0, 6.0)))
         assert [s.id for s in samples] == ["synth000", "synth001", "synth002"]
-        assert all(s.native_size == (24, 24) for s in samples)
+        assert all(s.image.shape == (24, 24) for s in samples)
         assert all(s.mask.any() for s in samples)
         assert all(0.0 <= s.image.min() and s.image.max() <= 1.0 for s in samples)
 

@@ -359,8 +359,7 @@ def zero_stub(size=16):
 
 
 def mask_sample(mask, sid):
-    return Sample(id=sid, image=mask.astype(float), mask=mask,
-                  native_size=mask.shape)
+    return Sample(id=sid, image=mask.astype(float), mask=mask)
 
 
 class TestAggregateRows:
@@ -463,8 +462,7 @@ class TestEvaluate:
             y, x = rng.integers(2, 9, size=2)
             m[y:y + 5, x:x + 4] = True
             img = np.clip(m.astype(float) * 0.8 + rng.random((16, 16)) * 0.3, 0, 1)
-            samples.append(Sample(id=f"r{i}", image=img, mask=m,
-                                  native_size=(16, 16)))
+            samples.append(Sample(id=f"r{i}", image=img, mask=m))
         report = evaluate(identity_stub(), samples)
         for row in report.rows:
             assert row.aer == pytest.approx(row.fpr + 1.0 - row.tpr, abs=1e-12)

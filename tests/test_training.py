@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stanseg.autodiff import ShapeMismatchError, Tensor, backward
-from stanseg.data_io import Sample, SynthConfig, synth_generate
-from stanseg.model import ModelConfig, build_model, named_arrays
+from stanseg.data_io import (Sample, SynthConfig, bilinear_resize,
+                             nearest_resize, synth_generate)
+from stanseg.model import ModelConfig, build_model, named_arrays, save_weights
 from stanseg.training import (
     AdamState,
     CrossvalConfig,
@@ -206,6 +207,31 @@ class TestAdamStep:
         with pytest.raises(MissingGradientError, match="weights|bias"):
             adam_step(model, AdamState.for_model(model), TrainConfig())
 
+    def test_missing_gradient_changes_no_state(self):
+        # gradients on every array but the last: the error must come
+        # before the first update, not after a partial step
+        model = tiny_model()
+        state = AdamState.for_model(model)
+        arrays = list(named_arrays(model))
+        rng = np.random.default_rng(4)
+        for _, t in arrays:
+            t.grad = rng.standard_normal(t.data.shape)
+        adam_step(model, state, TrainConfig())  # non-zero moments, t = 1
+        for _, t in arrays[:-1]:
+            t.grad = rng.standard_normal(t.data.shape)
+
+        def snapshot():
+            return {n: (t.data.tobytes(), state.m[n].tobytes(),
+                        state.v[n].tobytes(),
+                        None if t.grad is None else t.grad.tobytes())
+                    for n, t in arrays}
+
+        before = snapshot()
+        with pytest.raises(MissingGradientError, match=arrays[-1][0]):
+            adam_step(model, state, TrainConfig())
+        assert state.t == 1
+        assert snapshot() == before
+
     def test_gradients_are_consumed(self):
         model = tiny_model()
         x, g = _assemble_batch(tiny_dataset(n=2), [0, 1], 0, TrainConfig())
@@ -221,7 +247,7 @@ def blob_sample(size=16):
     mask = np.zeros((size, size), dtype=bool)
     mask[6:9, 5:8] = True
     image = np.where(mask, 0.2, 0.7)
-    return Sample(id="blob", image=image, mask=mask, native_size=(size, size))
+    return Sample(id="blob", image=image, mask=mask)
 
 
 def shift_sample(sample, dy, dx):
@@ -395,11 +421,18 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError, match="epoch 0.*step 0"):
             train(model, tiny_dataset(), TrainConfig(epochs=1))
 
-    def test_wrong_sample_size_rejected(self):
-        model = tiny_model()
-        bad = tiny_dataset(n=2, size=32)
-        with pytest.raises(ShapeMismatchError, match="model wants"):
-            train(model, bad, TrainConfig(epochs=1))
+    def test_samples_are_fitted_to_the_input_size(self, tmp_path):
+        # 32 px samples train a 16 px model exactly as the same samples
+        # resized by hand: image bilinearly, mask by nearest neighbour
+        native = tiny_dataset(n=2, size=32)
+        by_hand = [replace(s, image=bilinear_resize(s.image, 16, 16),
+                           mask=nearest_resize(s.mask, 16, 16)) for s in native]
+        weights = []
+        for name, samples in (("native", native), ("by_hand", by_hand)):
+            model, _ = train(tiny_model(), samples, TrainConfig(epochs=1))
+            save_weights(model, tmp_path / f"{name}.bin")
+            weights.append((tmp_path / f"{name}.bin").read_bytes())
+        assert weights[0] == weights[1]
 
     def test_history_lengths_match_epochs(self):
         model = tiny_model()
